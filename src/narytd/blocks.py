@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .data import Fact, Vocabulary
+from .data import Fact, Vocabulary, load_json_object
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -315,7 +315,4 @@ def save_architecture(path: str | Path, architecture: ArchitectureSet) -> None:
 
 
 def load_architecture(path: str | Path) -> ArchitectureSet:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"architecture file not found: {path}")
-    return architecture_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    return architecture_from_doc(load_json_object(path, "architecture file"))

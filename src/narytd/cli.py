@@ -28,6 +28,7 @@ from .data import (
     Dataset,
     build_dataset,
     load_dataset_dir,
+    load_json_object,
     parse_facts_file,
     split_stats,
     write_dataset_dir,
@@ -69,8 +70,6 @@ SEARCH_DEFAULTS = {
     "lam": 2,
     "search_epochs": 10,
     "theta_lr": 1.0,
-    "raw_utility": False,
-    "utility_transform": "per-fact-ranked",
     "seed": 0,
     "learning_rate": 0.05,
     "decay_rate": 0.995,
@@ -90,7 +89,6 @@ TRAIN_DEFAULTS = {
     "batch_size": 128,
     "max_epochs": 100,
     "seed": 0,
-    "mc_samples": 1,
     "patience": 10,
     "eval_every": 1,
     "holdout_fraction": 0.1,
@@ -113,13 +111,7 @@ def _write_doc(path: Path, doc: dict) -> None:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {p} must hold a key/value object")
-    return doc
+    return load_json_object(path, "config file")
 
 
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
@@ -246,8 +238,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         theta_lr=cfg["theta_lr"],
         seed=cfg["seed"],
         dimension=cfg["dimension"],
-        raw_utility=bool(cfg["raw_utility"]),
-        utility_transform=cfg["utility_transform"],
         tie_policy=cfg["tie_policy"],
     )
     start = time.perf_counter()
@@ -294,7 +284,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=cfg["batch_size"],
         max_epochs=cfg["max_epochs"],
         seed=cfg["seed"],
-        mc_samples=cfg["mc_samples"],
         patience=cfg["patience"],
         eval_every=cfg["eval_every"],
     )
@@ -435,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, help="architecture samples per step")
     p.add_argument("--search-epochs", dest="search_epochs", type=int)
     p.add_argument("--theta-lr", dest="theta_lr", type=float)
-    p.add_argument(
-        "--raw-utility", dest="raw_utility", action="store_const", const=True,
-        help="skip the ranked baseline transform of utilities",
-    )
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--decay-rate", dest="decay_rate", type=float)
@@ -463,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--epochs", dest="max_epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--eval-every", dest="eval_every", type=int)
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)

@@ -7,6 +7,7 @@ holds `train.tsv`, optional `valid.tsv`, and `test.tsv`.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -166,6 +167,24 @@ def parse_facts_file(path: str | Path) -> list[RawFact]:
         raise DataError(f"fact file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         return parse_facts(fh, source=str(path))
+
+
+def load_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object stored at `path`; `what` names the file in errors.
+
+    A missing file, invalid JSON and a document that is not an object all
+    raise DataError.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def serialize_facts(facts: Iterable[RawFact]) -> str:

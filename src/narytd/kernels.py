@@ -6,45 +6,15 @@ into one contiguous float64 array X of shape (B, P, m, ds); the block
 codes are a flat float64 vector of length K = m**P, indexed row-major
 with the relation's segment index slowest.
 
-Two interchangeable backends implement the block sums: numba @njit loops
-(default) and a pure-numpy einsum path. Set NARYTD_NUMBA=0 to force the
-numpy fallback, e.g. on platforms where numba is unavailable.
+The block sums are numpy einsum contractions of the (m,)*P core tensor
+against the P participant slices.
 """
 
 from __future__ import annotations
 
-import os
 import string
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("NARYTD_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return False
-    return _HAVE_NUMBA
-
-
-_USE_NUMBA = _env_wants_numba()
-
-
-def backend() -> str:
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if _USE_NUMBA else "numpy"
 
 
 def decode_block(k: int, positions: int, m: int) -> tuple[int, ...]:
@@ -64,91 +34,7 @@ def encode_block(index: tuple[int, ...], m: int) -> int:
     return k
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-
-
-@njit(cache=True)
-def _score_nb(codes, X):
-    B, P, m, ds = X.shape
-    K = codes.shape[0]
-    out = np.zeros(B)
-    idx = np.empty(P, np.int64)
-    for k in range(K):
-        c = codes[k]
-        if c == 0.0:
-            continue
-        kk = k
-        for q in range(P - 1, -1, -1):
-            idx[q] = kk % m
-            kk //= m
-        for b in range(B):
-            acc = 0.0
-            for t in range(ds):
-                p = 1.0
-                for q in range(P):
-                    p *= X[b, q, idx[q], t]
-                acc += p
-            out[b] += c * acc
-    return out
-
-
-@njit(cache=True)
-def _context_nb(codes, X, hole):
-    B, P, m, ds = X.shape
-    K = codes.shape[0]
-    out = np.zeros((B, m, ds))
-    idx = np.empty(P, np.int64)
-    for k in range(K):
-        c = codes[k]
-        if c == 0.0:
-            continue
-        kk = k
-        for q in range(P - 1, -1, -1):
-            idx[q] = kk % m
-            kk //= m
-        jh = idx[hole]
-        for b in range(B):
-            for t in range(ds):
-                p = c
-                for q in range(P):
-                    if q != hole:
-                        p *= X[b, q, idx[q], t]
-                out[b, jh, t] += p
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
 _BLOCK_LETTERS = string.ascii_lowercase
-
-
-def _score_np(codes, X):
-    B, P, m, ds = X.shape
-    core = np.ascontiguousarray(codes).reshape((m,) * P)
-    subs = ",".join([_BLOCK_LETTERS[:P]] + [f"z{_BLOCK_LETTERS[q]}y" for q in range(P)])
-    operands = [core] + [X[:, q] for q in range(P)]
-    return np.einsum(subs + "->z", *operands, optimize=True)
-
-
-def _context_np(codes, X, hole):
-    B, P, m, ds = X.shape
-    core = np.ascontiguousarray(codes).reshape((m,) * P)
-    subs = ",".join(
-        [_BLOCK_LETTERS[:P]] + [f"z{_BLOCK_LETTERS[q]}y" for q in range(P) if q != hole]
-    )
-    out = f"->z{_BLOCK_LETTERS[hole]}y"
-    operands = [core] + [X[:, q] for q in range(P) if q != hole]
-    # einsum drops the y axis when no operand carries it (P == 1): broadcast back
-    res = np.einsum(subs + out, *operands, optimize=True)
-    if res.shape[-1] != ds:  # pragma: no cover - unreachable for arity >= 2
-        res = np.broadcast_to(res[..., None], (B, m, ds)).copy()
-    return res
-
-
-# ---------------------------------------------------------------------------
-# dispatch
 
 
 def score_batch(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -158,9 +44,11 @@ def score_batch(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     codes = np.ascontiguousarray(codes, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if _USE_NUMBA:
-        return _score_nb(codes, X)
-    return _score_np(codes, X)
+    B, P, m, ds = X.shape
+    core = codes.reshape((m,) * P)
+    subs = ",".join([_BLOCK_LETTERS[:P]] + [f"z{_BLOCK_LETTERS[q]}y" for q in range(P)])
+    operands = [core] + [X[:, q] for q in range(P)]
+    return np.einsum(subs + "->z", *operands, optimize=True)
 
 
 def context_batch(codes: np.ndarray, X: np.ndarray, hole: int) -> np.ndarray:
@@ -171,17 +59,17 @@ def context_batch(codes: np.ndarray, X: np.ndarray, hole: int) -> np.ndarray:
     """
     codes = np.ascontiguousarray(codes, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if not 0 <= hole < X.shape[1]:
-        raise ValueError(f"hole {hole} out of range for {X.shape[1]} participants")
-    if _USE_NUMBA:
-        return _context_nb(codes, X, hole)
-    return _context_np(codes, X, hole)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the numba kernels (no-op on numpy)."""
-    codes = np.array([1.0, -1.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
-    X = np.ones((2, 3, 2, 4))
-    score_batch(codes, X)
-    context_batch(codes, X, 0)
-    context_batch(codes, X, 2)
+    B, P, m, ds = X.shape
+    if not 0 <= hole < P:
+        raise ValueError(f"hole {hole} out of range for {P} participants")
+    core = codes.reshape((m,) * P)
+    subs = ",".join(
+        [_BLOCK_LETTERS[:P]] + [f"z{_BLOCK_LETTERS[q]}y" for q in range(P) if q != hole]
+    )
+    out = f"->z{_BLOCK_LETTERS[hole]}y"
+    operands = [core] + [X[:, q] for q in range(P) if q != hole]
+    # einsum drops the y axis when no operand carries it (P == 1): broadcast back
+    res = np.einsum(subs + out, *operands, optimize=True)
+    if res.shape[-1] != ds:  # pragma: no cover - unreachable for arity >= 2
+        res = np.broadcast_to(res[..., None], (B, m, ds)).copy()
+    return res

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import ArchitectureSet, CoreAssignment, load_architecture, pack_participants, save_architecture
-from .data import Fact, group_by_arity
+from .data import Fact, group_by_arity, load_json_object
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -194,43 +194,26 @@ def batch_loss(
     return total
 
 
-def resolve_architectures(source, lam: int, rng: np.random.Generator) -> list[ArchitectureSet]:
-    """Materialize the lam architecture sets a gradient step averages over."""
-    if isinstance(source, ArchitectureSet):
-        return [source] * lam
-    if isinstance(source, (list, tuple)):
-        if len(source) != lam:
-            raise ValueError(f"got {len(source)} architectures, expected lam={lam}")
-        return list(source)
-    if hasattr(source, "sample"):
-        return [source.sample(rng) for _ in range(lam)]
-    raise TypeError(f"cannot draw architectures from {type(source).__name__}")
-
-
 def grad_embeddings_mc(
-    source,
+    architectures: Sequence[ArchitectureSet],
     embeddings: SegmentedEmbeddings,
     facts: Sequence[Fact],
-    lam: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> tuple[GradientAccumulator, float]:
-    """Monte-Carlo averaged gradient over lam architecture draws.
+    """Monte-Carlo gradient averaged over the given architecture sets.
 
-    `source` is a fixed ArchitectureSet (used lam times), an explicit list
-    of lam sets, or a distribution exposing sample(rng). Returns the mean
-    gradient and the mean summed batch loss.
+    Search passes its lam sampled sets; fixed training passes a one-element
+    list. Returns the mean gradient and the mean summed batch loss.
     """
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    architectures = resolve_architectures(source, lam, rng or np.random.default_rng())
+    if not architectures:
+        raise ValueError("need at least one architecture")
     total = GradientAccumulator.zeros_like(embeddings)
     loss = 0.0
     for architecture in architectures:
         grads, batch_l = grad_batch(architecture, embeddings, facts)
         total += grads
         loss += batch_l
-    total.scale(1.0 / lam)
-    return total, loss / lam
+    total.scale(1.0 / len(architectures))
+    return total, loss / len(architectures)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +309,12 @@ def save_checkpoint(
 def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, ArchitectureSet, dict]:
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"checkpoint meta not found: {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    n_e, n_r, d = meta["n_e"], meta["n_r"], meta["dimension"]
+    meta = load_json_object(meta_path, "checkpoint meta")
+    try:
+        n_e, n_r, d = meta["n_e"], meta["n_r"], meta["dimension"]
+        segment_count, architecture_file = meta["segment_count"], meta["architecture_file"]
+    except KeyError as exc:
+        raise DataError(f"checkpoint meta {meta_path} missing field {exc}") from None
     ent = np.frombuffer((directory / "entities.bin").read_bytes(), dtype="<f4")
     rel = np.frombuffer((directory / "relations.bin").read_bytes(), dtype="<f4")
     if ent.size != n_e * d or rel.size != n_r * d:
@@ -337,9 +322,9 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     embeddings = SegmentedEmbeddings(
         ent.reshape(n_e, d).astype(np.float64),
         rel.reshape(n_r, d).astype(np.float64),
-        meta["segment_count"],
+        segment_count,
     )
-    architecture = load_architecture(directory / meta["architecture_file"])
+    architecture = load_architecture(directory / architecture_file)
     return embeddings, architecture, meta
 
 

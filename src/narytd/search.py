@@ -19,11 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count
-from .data import Dataset, Fact, FilterIndex, build_filter_index, group_by_arity
+from .data import Dataset, Fact, FilterIndex, build_filter_index, load_json_object
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError
-from .evaluation import filtered_rank
-from .model import AdamState, adam_step, batch_ids, candidate_scores, grad_embeddings_mc
+from .evaluation import query_ranks
+from .model import AdamState, adam_step, grad_embeddings_mc
 from .training import TrainConfig, batch_rng, epoch_batches
 
 OP_CODES = np.array([-1, 0, 1], dtype=np.int8)  # row order of every theta matrix
@@ -162,33 +162,14 @@ def validation_utility(
     """
     if not facts:
         raise DataError("validation batch is empty")
+    ranks = iter(query_ranks(embeddings, architecture, facts, filter_index, tie_policy))
     utilities = np.zeros(len(facts))
-    for arity, group in sorted(group_by_arity(facts).items()):
-        assignment = architecture[arity]
-        indices = [i for i, f in enumerate(facts) if f.arity == arity]
-        rel_ids, ent_ids = batch_ids(group)
-        recip = np.zeros(len(group))
-        for p in range(arity):
-            Z = candidate_scores(assignment, embeddings, rel_ids, ent_ids, p)
-            for row, fact_idx in enumerate(indices):
-                fact = facts[fact_idx]
-                fillers = filter_index.fillers(fact.relation, fact.entities, p)
-                rank = filtered_rank(Z[row], fact.entities[p], fillers, tie_policy)
-                recip[row] += 1.0 / rank
-        utilities[indices] = recip / arity
+    for i, fact in enumerate(facts):
+        recip = 0.0
+        for _ in range(fact.arity):
+            recip += 1.0 / next(ranks)
+        utilities[i] = recip / fact.arity
     return utilities, float(utilities.mean())
-
-
-def ranked_utilities(utilities: Sequence[float]) -> np.ndarray:
-    """Baseline transform: best sample +1, worst -1, everything else 0."""
-    u = np.asarray(utilities, dtype=np.float64)
-    out = np.zeros_like(u)
-    top, bottom = u.max(), u.min()
-    if top == bottom:
-        return out
-    out[u == top] = 1.0
-    out[u == bottom] = -1.0
-    return out
 
 
 def per_fact_ranked_weights(per_fact_utilities: np.ndarray) -> np.ndarray:
@@ -211,22 +192,17 @@ def per_fact_ranked_weights(per_fact_utilities: np.ndarray) -> np.ndarray:
 def theta_gradient(
     samples: Sequence[tuple[SufficientStatistic, float]],
     distribution: ArchitectureDistribution,
-    transform: str = "ranked",
 ) -> dict[int, np.ndarray]:
-    """Ascent direction (1/lam) sum_i u_i (T_i - theta) per arity.
+    """Ascent direction (1/lam) sum_i w_i (T_i - theta) per arity.
 
-    transform='ranked' replaces the raw utilities with the +1/0/-1
-    baseline transform; 'raw' uses them as given.
+    Each sample's weight w_i is used as given; the search loop passes
+    per_fact_ranked_weights of the samples' validation utilities.
     """
     if not samples:
         raise DataError("theta_gradient needs at least one sample")
-    if transform not in ("ranked", "raw"):
-        raise DataError(f"unknown utility transform {transform!r}")
-    raw = [u for _, u in samples]
-    weights = ranked_utilities(raw) if transform == "ranked" else np.asarray(raw, float)
     lam = len(samples)
     direction = {n: np.zeros_like(t) for n, t in distribution.thetas.items()}
-    for (stat, _), w in zip(samples, weights):
+    for stat, w in samples:
         if w == 0.0:
             continue
         for n in direction:
@@ -334,8 +310,6 @@ class SearchConfig:
     alpha: float = 1.5
     seed: int = 0
     dimension: int | None = None  # search-phase dim; None falls back to train config
-    raw_utility: bool = False
-    utility_transform: str = "per-fact-ranked"  # or "ranked"; raw_utility overrides both
     tie_policy: str = "optimistic"
 
     def __post_init__(self):
@@ -345,8 +319,6 @@ class SearchConfig:
             raise DataError("search_epochs must be >= 0 and val_batch_size >= 1")
         if self.theta_lr <= 0:
             raise DataError("theta_lr must be positive")
-        if self.utility_transform not in ("per-fact-ranked", "ranked"):
-            raise DataError(f"unknown utility transform {self.utility_transform!r}")
 
 
 @dataclass
@@ -422,9 +394,7 @@ def search_loop(
         lr = train_config.learning_rate * train_config.decay_rate**epoch
         for batch in epoch_batches(dataset.train, train_config.batch_size, shuffle_rng):
             samples = sample_architectures(distribution, search_config.lam, sample_rng)
-            grads, _ = grad_embeddings_mc(
-                [arch for arch, _ in samples], embeddings, batch, lam=search_config.lam
-            )
+            grads, _ = grad_embeddings_mc([arch for arch, _ in samples], embeddings, batch)
             embeddings, adam = adam_step(embeddings, grads, adam, lr)
 
             if len(valid) > search_config.val_batch_size:
@@ -442,16 +412,9 @@ def search_loop(
                 )
                 per_fact.append(fact_u)
                 utilities.append(mean_u)
-            if search_config.raw_utility:
-                weights = np.asarray(utilities)
-            elif search_config.utility_transform == "per-fact-ranked":
-                weights = per_fact_ranked_weights(np.stack(per_fact))
-            else:
-                weights = ranked_utilities(utilities)
+            weights = per_fact_ranked_weights(np.stack(per_fact))
             direction = theta_gradient(
-                [(stat, float(w)) for (_, stat), w in zip(samples, weights)],
-                distribution,
-                transform="raw",
+                [(stat, float(w)) for (_, stat), w in zip(samples, weights)], distribution
             )
             distribution, state = asng_update(distribution, direction, state)
             trace.append(
@@ -503,7 +466,4 @@ def save_theta(path: str | Path, distribution: ArchitectureDistribution) -> None
 
 
 def load_theta(path: str | Path) -> ArchitectureDistribution:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"theta file not found: {path}")
-    return theta_from_doc(json.loads(path.read_text(encoding="utf-8")))
+    return theta_from_doc(load_json_object(path, "theta file"))

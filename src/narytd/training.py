@@ -27,7 +27,6 @@ class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 100
     seed: int = 0
-    mc_samples: int = 1
     patience: int = 10
     eval_every: int = 1  # epochs between validation checks; 0 disables
 
@@ -38,8 +37,6 @@ class TrainConfig:
             raise DataError(
                 f"dimension {self.dimension} not divisible by segment count {self.segment_count}"
             )
-        if self.mc_samples < 1:
-            raise DataError("mc_samples must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise DataError("batch_size must be >= 1 and max_epochs >= 0")
 
@@ -125,9 +122,7 @@ def train_fixed(
         lr = config.learning_rate * config.decay_rate**epoch
         epoch_loss = 0.0
         for batch in epoch_batches(dataset.train, config.batch_size, rng):
-            grads, loss = grad_embeddings_mc(
-                architecture, embeddings, batch, lam=config.mc_samples
-            )
+            grads, loss = grad_embeddings_mc([architecture], embeddings, batch)
             epoch_loss += loss
             embeddings, state = adam_step(embeddings, grads, state, lr)
         mean_loss = epoch_loss / n_train

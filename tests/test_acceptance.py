@@ -246,7 +246,7 @@ def test_criterion_6_estimator_sanity():
             row = int(arch[2].codes[0]) + 1
             rows[i] = row
             scored.append((stat, float(utility_by_row[row])))
-        direction = theta_gradient(scored, dist, transform="raw")[2][:, 0]
+        direction = theta_gradient(scored, dist)[2][:, 0]
 
         # per-sample contributions for the standard error
         one_hots = np.zeros((draws, 3))
@@ -286,7 +286,6 @@ def test_criterion_8_one_hot_search_equals_fixed_training():
                 batch_size=32,
                 max_epochs=epochs,
                 seed=13,
-                mc_samples=2,
                 eval_every=0,
             )
             search_config = SearchConfig(
@@ -413,8 +412,7 @@ def test_criterion_9_optional_benchmark():
         result = search_loop(ds, search_config, train_config, filter_index=fi)
         retrain_config = TrainConfig(
             dimension=128, segment_count=4, learning_rate=0.05, decay_rate=0.995,
-            batch_size=256, max_epochs=200, seed=0, mc_samples=1,
-            eval_every=5, patience=8,
+            batch_size=256, max_epochs=200, seed=0, eval_every=5, patience=8,
         )
         trained = train_fixed(result.architecture, ds, retrain_config, filter_index=fi)
         metrics = evaluate(trained.embeddings, result.architecture, ds, "test", fi)

@@ -237,6 +237,36 @@ class TestArchTools:
         assert sum(ops.values()) == 8
 
 
+class TestMalformedArtifacts:
+    """Each malformed artifact kind ends in exit 3 and a one-line error."""
+
+    def assert_data_error(self, rc, capsys, name):
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_architecture_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad_arch.json"
+        bad.write_text('{"segment_count": 2,')
+        self.assert_data_error(run("inspect-arch", bad), capsys, "bad_arch.json")
+
+    def test_bad_config_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad_cfg.json"
+        bad.write_text("entities = 30\n")
+        rc = run("synth", "--out", tmp_path / "s", "--config", bad)
+        self.assert_data_error(rc, capsys, "bad_cfg.json")
+
+    def test_meta_without_entity_count(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        meta = {"n_r": 2, "dimension": 8, "segment_count": 2,
+                "architecture_file": "architecture.json"}
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
+        self.assert_data_error(rc, capsys, "n_e")
+
+
 class TestFixedArityMode:
     @pytest.fixture
     def mixed_dir(self, tmp_path):

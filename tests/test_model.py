@@ -197,8 +197,9 @@ class TestGradients:
         for k, code in enumerate(arch[2].codes):
             theta[int(code) + 1, k] = 1.0
         dist = ArchitectureDistribution({2: theta}, 2)
-        mc, mc_loss = grad_embeddings_mc(dist, emb, facts, lam=1, rng=np.random.default_rng(0))
-        fixed, fixed_loss = grad_embeddings_mc(arch, emb, facts, lam=1)
+        sampled = dist.sample(np.random.default_rng(0))
+        mc, mc_loss = grad_embeddings_mc([sampled], emb, facts)
+        fixed, fixed_loss = grad_embeddings_mc([arch], emb, facts)
         assert np.array_equal(mc.entity, fixed.entity)
         assert np.array_equal(mc.relation, fixed.relation)
         assert mc_loss == fixed_loss
@@ -207,8 +208,8 @@ class TestGradients:
         rng = np.random.default_rng(11)
         emb, arch = random_model(rng)
         facts = [Fact(0, (0, 1))]
-        one, _ = grad_embeddings_mc(arch, emb, facts, lam=1)
-        two, _ = grad_embeddings_mc(arch, emb, facts, lam=2)
+        one, _ = grad_embeddings_mc([arch], emb, facts)
+        two, _ = grad_embeddings_mc([arch, arch], emb, facts)
         assert np.array_equal(one.entity, two.entity)
 
 

@@ -14,7 +14,7 @@ from narytd.search import (
     derive_final,
     init_theta,
     load_theta,
-    ranked_utilities,
+    per_fact_ranked_weights,
     sample_architectures,
     save_theta,
     search_loop,
@@ -99,27 +99,22 @@ class TestThetaGradient:
     def test_single_sample_direct_substitution(self):
         dist = init_theta(2, 1)
         stat = SufficientStatistic({2: np.array([[0.0], [0.0], [1.0]])})
-        direction = theta_gradient([(stat, 1.0)], dist, transform="raw")
+        direction = theta_gradient([(stat, 1.0)], dist)
         np.testing.assert_allclose(direction[2][:, 0], [-1 / 3, -1 / 3, 2 / 3], atol=1e-12)
 
     def test_zero_utilities_zero_direction(self):
         dist = init_theta(2, 2)
         rng = np.random.default_rng(0)
         samples = [(stat, 0.0) for _, stat in sample_architectures(dist, 3, rng)]
-        direction = theta_gradient(samples, dist, transform="raw")
+        direction = theta_gradient(samples, dist)
         assert np.all(direction[2] == 0.0)
 
-    def test_ranked_pair(self):
-        dist = init_theta(2, 2)
-        rng = np.random.default_rng(1)
-        (a1, s1), (a2, s2) = sample_architectures(dist, 2, rng)
-        direction = theta_gradient([(s1, 1.0), (s2, 0.0)], dist, transform="ranked")
-        np.testing.assert_allclose(direction[2], (s1.stats[2] - s2.stats[2]) / 2.0, atol=1e-12)
+    def test_per_fact_ranked_weights_values(self):
+        # rows are samples, columns facts; per fact the best sample scores +1,
+        # the worst -1 and a fact where all samples tie scores 0 for each
+        U = np.array([[1.0, 0.5, 0.2, 0.3], [0.0, 0.5, 0.4, 0.3], [0.5, 0.5, 0.1, 0.3]])
+        np.testing.assert_array_equal(per_fact_ranked_weights(U), [0.25, 0.0, -0.25])
 
-    def test_ranked_transform_values(self):
-        np.testing.assert_array_equal(ranked_utilities([1.0, 0.0]), [1.0, -1.0])
-        np.testing.assert_array_equal(ranked_utilities([0.5, 0.5]), [0.0, 0.0])
-        np.testing.assert_array_equal(ranked_utilities([0.1, 0.9, 0.4]), [-1.0, 1.0, 0.0])
 
 
 class TestAsngUpdate:
