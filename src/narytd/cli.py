@@ -1,10 +1,13 @@
 """Command-line interface: ingest, synth, search, train, eval, diff-arch,
 inspect-arch.
 
-Every value resolves as CLI flag > config file (--config, JSON key/value
+Every setting resolves as CLI flag > config file (--config, JSON key/value
 document) > built-in default, and each artifact-producing command echoes
-its effective configuration into the output directory. Exit codes:
-0 success, 2 usage error, 3 data error, 4 numeric failure.
+its effective configuration into the output directory. A command's
+settings are the destinations of its own flags. The search, train and
+eval defaults are the TrainConfig and SearchConfig field defaults, under
+the flags' key names; only a few CLI-only keys have their own. Exit
+codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,18 +16,21 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .blocks import (
+    PRESET_NAMES,
     ArchitectureSet,
     load_architecture,
     preset_set,
     save_architecture,
 )
 from .data import (
+    HOLDOUT_FRACTION,
     Dataset,
     build_dataset,
     load_dataset_dir,
@@ -34,7 +40,7 @@ from .data import (
     write_dataset_dir,
 )
 from .errors import DataError, NumericError
-from .evaluation import evaluate, evaluate_with_timing
+from .evaluation import TIE_POLICIES, evaluate, evaluate_with_timing
 from .model import load_checkpoint, round_trip_float32, save_checkpoint
 from .search import SearchConfig, save_theta, search_loop
 from .synth import PlantedSpec, generate_planted, random_truth
@@ -43,7 +49,7 @@ from .training import TrainConfig, train_fixed
 SPLITS = ("train", "valid", "test")
 
 INGEST_DEFAULTS = {
-    "holdout_fraction": 0.1,
+    "holdout_fraction": HOLDOUT_FRACTION,
     "seed": 0,
     "arity": None,
     "strict": True,
@@ -64,40 +70,27 @@ SYNTH_DEFAULTS = {
     "nonzero_fraction": 0.4,
 }
 
-SEARCH_DEFAULTS = {
-    "dimension": 64,
-    "segments": 2,
-    "lam": 2,
-    "search_epochs": 10,
-    "theta_lr": 1.0,
-    "seed": 0,
-    "learning_rate": 0.05,
-    "decay_rate": 0.995,
-    "batch_size": 128,
-    "val_batch_size": 128,
-    "holdout_fraction": 0.1,
-    "tie_policy": "optimistic",
-    "mode": "mixed-arity",
-    "arity": None,
-}
+# the one setting whose key is named unlike its dataclass field
+KEY_OF_FIELD = {"segment_count": "segments"}
 
-TRAIN_DEFAULTS = {
-    "dimension": 64,
-    "segments": 2,
-    "learning_rate": 0.05,
-    "decay_rate": 0.995,
-    "batch_size": 128,
-    "max_epochs": 100,
-    "seed": 0,
-    "patience": 10,
-    "eval_every": 1,
-    "holdout_fraction": 0.1,
-    "tie_policy": "optimistic",
+
+def _key(field_name: str) -> str:
+    return KEY_OF_FIELD.get(field_name, field_name)
+
+
+# Defaults of search, train and eval. TrainConfig comes last so that it
+# wins on the shared names: SearchConfig.dimension=None means "as training".
+RUN_DEFAULTS = {
+    "holdout_fraction": HOLDOUT_FRACTION,
+    "arity": None,
     "preset": None,
     "arch": None,
-    "mode": "mixed-arity",
-    "arity": None,
+    **{_key(f.name): f.default for cls in (SearchConfig, TrainConfig) for f in fields(cls)},
 }
+
+# argparse destinations that are inputs, outputs or the parser's own, not settings
+NOT_SETTINGS = {"command", "func", "config", "train", "valid", "test", "data", "out",
+                "checkpoint", "split"}
 
 
 def _print_doc(doc: dict) -> None:
@@ -108,51 +101,45 @@ def _write_doc(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    return load_json_object(path, "config file")
-
-
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default, for the keys this command understands."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _effective(args: argparse.Namespace, defaults: dict = RUN_DEFAULTS) -> dict:
+    """flag > config file > default, for the settings this command's flags set."""
+    file_cfg = load_json_object(args.config, "config file") if args.config else {}
     out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+    for key, flag in vars(args).items():
+        if key in NOT_SETTINGS:
+            continue
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
             out[key] = file_cfg[key]
         else:
-            out[key] = default
+            out[key] = defaults[key]
     return out
 
 
-def _filter_arity(dataset: Dataset, arity: int) -> Dataset:
+def _build(cls, cfg: dict):
+    """A TrainConfig or SearchConfig from the settings named like its fields."""
+    keys = {f.name: _key(f.name) for f in fields(cls)}
+    return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
+
+
+def _load_data(cfg: dict, path: str) -> Dataset:
+    """The dataset directory, restricted to arity-`arity` facts if one is set."""
+    # ingest already enforced the vocabulary policy; loading trusts the dir
+    dataset = load_dataset_dir(
+        path,
+        valid_holdout_fraction=cfg["holdout_fraction"],
+        seed=cfg["seed"],
+        strict_vocabulary=False,
+    )
+    if cfg.get("arity") is None:
+        return dataset
+    arity = int(cfg["arity"])
     keep = lambda facts: [f for f in facts if f.arity == arity]
     train = keep(dataset.train)
     if not train:
         raise DataError(f"no arity-{arity} facts in the train split")
     return Dataset(dataset.vocabulary, train, keep(dataset.valid), keep(dataset.test))
-
-
-def _apply_mode(dataset: Dataset, cfg: dict) -> Dataset:
-    if cfg.get("mode") == "fixed-arity":
-        if cfg.get("arity") is None:
-            raise DataError("fixed-arity mode requires --arity")
-        return _filter_arity(dataset, int(cfg["arity"]))
-    return dataset
-
-
-def _load_data(cfg: dict, path: str) -> Dataset:
-    # ingest already enforced the vocabulary policy; loading trusts the dir
-    return load_dataset_dir(
-        path,
-        valid_holdout_fraction=cfg.get("holdout_fraction", 0.1),
-        seed=cfg.get("seed", 0),
-        strict_vocabulary=False,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +208,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _effective(args, SEARCH_DEFAULTS)
-    dataset = _apply_mode(_load_data(cfg, args.data), cfg)
-    train_config = TrainConfig(
-        dimension=cfg["dimension"],
-        segment_count=cfg["segments"],
-        learning_rate=cfg["learning_rate"],
-        decay_rate=cfg["decay_rate"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-    )
-    search_config = SearchConfig(
-        lam=cfg["lam"],
-        search_epochs=cfg["search_epochs"],
-        val_batch_size=cfg["val_batch_size"],
-        theta_lr=cfg["theta_lr"],
-        seed=cfg["seed"],
-        dimension=cfg["dimension"],
-        tie_policy=cfg["tie_policy"],
-    )
+    cfg = _effective(args)
+    dataset = _load_data(cfg, args.data)
+    train_config = _build(TrainConfig, cfg)
+    search_config = _build(SearchConfig, cfg)
     start = time.perf_counter()
     result = search_loop(dataset, search_config, train_config)
     out = Path(args.out)
@@ -263,30 +235,20 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _resolve_architecture(cfg: dict, dataset: Dataset) -> ArchitectureSet:
-    if cfg.get("arch") and cfg.get("preset"):
+    if cfg["arch"] and cfg["preset"]:
         raise DataError("give either --arch or --preset, not both")
-    if cfg.get("arch"):
+    if cfg["arch"]:
         return load_architecture(cfg["arch"])
-    if cfg.get("preset"):
+    if cfg["preset"]:
         return preset_set(cfg["preset"], max(dataset.max_arity, 2), cfg["segments"])
     raise DataError("training needs --arch FILE or --preset NAME")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _effective(args, TRAIN_DEFAULTS)
-    dataset = _apply_mode(_load_data(cfg, args.data), cfg)
+    cfg = _effective(args)
+    dataset = _load_data(cfg, args.data)
     architecture = _resolve_architecture(cfg, dataset)
-    config = TrainConfig(
-        dimension=cfg["dimension"],
-        segment_count=cfg["segments"],
-        learning_rate=cfg["learning_rate"],
-        decay_rate=cfg["decay_rate"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        seed=cfg["seed"],
-        patience=cfg["patience"],
-        eval_every=cfg["eval_every"],
-    )
+    config = _build(TrainConfig, cfg)
     start = time.perf_counter()
     result = train_fixed(architecture, dataset, config, tie_policy=cfg["tie_policy"])
     out = Path(args.out)
@@ -309,14 +271,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             "valid_mrr": [{"epoch": e, "mrr": v} for e, v in result.valid_mrr_history],
         },
     )
-    doc = {"checkpoint": str(out), "epochs": len(result.history)}
-    doc.update({k: v for k, v in extra.items()})
-    _print_doc(doc)
+    _print_doc({"checkpoint": str(out), "epochs": len(result.history), **extra})
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {"holdout_fraction": 0.1, "seed": 0, "tie_policy": "optimistic"})
+    cfg = _effective(args)
     embeddings, architecture, _meta = load_checkpoint(args.checkpoint)
     dataset = _load_data(cfg, args.data)
     doc = evaluate_with_timing(
@@ -408,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int)
     p.add_argument("--facts-per-arity", dest="facts_per_arity", type=int)
     p.add_argument("--margin", type=float)
-    p.add_argument("--sigma", type=float, help="embedding scale (default 1/sqrt(dim))")
+    p.add_argument("--sigma", type=float, help="embedding scale (default 1.0)")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-draws", dest="max_draws", type=int)
     p.add_argument("--truth-arch", dest="truth_arch", help="architecture file to plant")
@@ -416,52 +376,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("search", help="search block codes on a dataset")
-    p.add_argument("--data", required=True, help="dataset directory")
+    # flags search and train share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", required=True, help="dataset directory")
+    run.add_argument("--dim", dest="dimension", type=int)
+    run.add_argument("--segments", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--lr", dest="learning_rate", type=float)
+    run.add_argument("--decay-rate", dest="decay_rate", type=float)
+    run.add_argument("--batch-size", dest="batch_size", type=int)
+    run.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
+    run.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
+    run.add_argument("--arity", type=int, help="use only the facts of this arity")
+    run.add_argument("--config", help="JSON config file")
+
+    p = sub.add_parser("search", parents=[run], help="search block codes on a dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dim", dest="dimension", type=int)
-    p.add_argument("--segments", type=int)
     p.add_argument("--lambda", dest="lam", type=int, help="architecture samples per step")
     p.add_argument("--search-epochs", dest="search_epochs", type=int)
     p.add_argument("--theta-lr", dest="theta_lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--decay-rate", dest="decay_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--val-batch-size", dest="val_batch_size", type=int)
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=("optimistic", "pessimistic"))
-    p.add_argument("--mode", choices=("fixed-arity", "mixed-arity"))
-    p.add_argument("--arity", type=int, help="target arity for fixed-arity mode")
-    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("train", help="train embeddings under a fixed architecture")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("train", parents=[run], help="train embeddings under a fixed architecture")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--arch", help="architecture file")
-    p.add_argument("--preset", choices=("cp", "distmult", "complex", "simple"))
-    p.add_argument("--dim", dest="dimension", type=int)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--decay-rate", dest="decay_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=("optimistic", "pessimistic"))
-    p.add_argument("--mode", choices=("fixed-arity", "mixed-arity"))
-    p.add_argument("--arity", type=int)
-    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=SPLITS)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=("optimistic", "pessimistic"))
+    p.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="also write the metrics document here")

@@ -22,6 +22,9 @@ logger = logging.getLogger(__name__)
 
 RawFact = tuple[str, tuple[str, ...]]
 
+# share of train carved out as validation when a dataset has no valid.tsv
+HOLDOUT_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class Fact:
@@ -161,10 +164,17 @@ def parse_facts(stream: TextIO, source: str | None = None) -> list[RawFact]:
     return facts
 
 
-def parse_facts_file(path: str | Path) -> list[RawFact]:
+def require_file(path: str | Path, what: str) -> Path:
+    """`path` as a Path; DataError, naming it `what`, unless it is a regular file."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"fact file not found: {path}")
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise DataError(f"{what} {problem}: {path}")
+    return path
+
+
+def parse_facts_file(path: str | Path) -> list[RawFact]:
+    path = require_file(path, "fact file")
     with open(path, encoding="utf-8") as fh:
         return parse_facts(fh, source=str(path))
 
@@ -172,12 +182,10 @@ def parse_facts_file(path: str | Path) -> list[RawFact]:
 def load_json_object(path: str | Path, what: str) -> dict:
     """The JSON object stored at `path`; `what` names the file in errors.
 
-    A missing file, invalid JSON and a document that is not an object all
-    raise DataError.
+    A missing file, a directory, invalid JSON and a document that is not
+    an object all raise DataError.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} not found: {path}")
+    path = require_file(path, what)
     try:
         doc = json.loads(path.read_bytes())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -312,7 +320,7 @@ def group_by_arity(facts: Iterable[Fact]) -> dict[int, list[Fact]]:
 
 def load_dataset_dir(
     directory: str | Path,
-    valid_holdout_fraction: float = 0.1,
+    valid_holdout_fraction: float = HOLDOUT_FRACTION,
     seed: int = 0,
     strict_vocabulary: bool = True,
 ) -> Dataset:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .blocks import ArchitectureSet
-from .data import Dataset, Fact, FilterIndex, group_by_arity
+from .data import Dataset, Fact, FilterIndex, build_filter_index, group_by_arity
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 from .model import batch_ids, candidate_scores
@@ -110,7 +110,6 @@ def query_ranks(
     by fact then position, regardless of batching.
     """
     per_fact: dict[int, list[int]] = {}
-    order: dict[int, list[int]] = {}
     for arity, group in sorted(group_by_arity(facts).items()):
         assignment = architecture[arity]
         indices = [i for i, f in enumerate(facts) if f.arity == arity]
@@ -141,8 +140,6 @@ def evaluate(
     if not facts:
         raise DataError(f"split {split!r} is empty")
     if filter_index is None:
-        from .data import build_filter_index
-
         filter_index = build_filter_index(dataset)
     ranks = query_ranks(embeddings, architecture, facts, filter_index, tie_policy)
     return aggregate(ranks)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import ArchitectureSet, CoreAssignment, load_architecture, pack_participants, save_architecture
-from .data import Fact, group_by_arity, load_json_object
+from .data import Fact, group_by_arity, load_json_object, require_file
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -182,7 +182,6 @@ def batch_loss(
 ) -> float:
     """Summed multi-class log loss over a batch (no gradients)."""
     total = 0.0
-    rows = None
     for arity, group in sorted(group_by_arity(facts).items()):
         assignment = architecture[arity]
         rel_ids, ent_ids = batch_ids(group)
@@ -219,6 +218,11 @@ def grad_embeddings_mc(
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -227,22 +231,14 @@ class AdamState:
     m_relation: np.ndarray
     v_relation: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_embeddings(
-        cls, embeddings: SegmentedEmbeddings, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ) -> "AdamState":
+    def for_embeddings(cls, embeddings: SegmentedEmbeddings) -> "AdamState":
         return cls(
             np.zeros_like(embeddings.entity_matrix),
             np.zeros_like(embeddings.entity_matrix),
             np.zeros_like(embeddings.relation_matrix),
             np.zeros_like(embeddings.relation_matrix),
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -255,17 +251,17 @@ def adam_step(
     """One bias-corrected Adam update, applied in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for param, grad, m, v in (
         (embeddings.entity_matrix, grads.entity, state.m_entity, state.v_entity),
         (embeddings.relation_matrix, grads.relation, state.m_relation, state.v_relation),
     ):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        param -= learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return embeddings, state
 
 
@@ -315,8 +311,10 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
         segment_count, architecture_file = meta["segment_count"], meta["architecture_file"]
     except KeyError as exc:
         raise DataError(f"checkpoint meta {meta_path} missing field {exc}") from None
-    ent = np.frombuffer((directory / "entities.bin").read_bytes(), dtype="<f4")
-    rel = np.frombuffer((directory / "relations.bin").read_bytes(), dtype="<f4")
+    ent, rel = (
+        np.frombuffer(require_file(directory / name, "checkpoint matrix").read_bytes(), "<f4")
+        for name in ("entities.bin", "relations.bin")
+    )
     if ent.size != n_e * d or rel.size != n_r * d:
         raise DataError("checkpoint matrix sizes do not match meta.json")
     embeddings = SegmentedEmbeddings(

@@ -31,6 +31,12 @@ OP_CODES = np.array([-1, 0, 1], dtype=np.int8)  # row order of every theta matri
 # tie preference when probabilities are equal: drop the block, then +1, then -1
 _TIE_ORDER = (1, 2, 0)
 
+# ASNG's threshold on the accumulated signal: the trust region shrinks
+# while |s|^2 exceeds ASNG_ALPHA * gamma
+ASNG_ALPHA = 1.5
+# smallest probability a theta entry keeps after an update
+THETA_FLOOR = 1e-12
+
 
 @dataclass
 class ArchitectureDistribution:
@@ -229,18 +235,13 @@ class AsngState:
     gamma: float = 0.0
     trust: float = 1.0  # Delta
     delta_init: float = 1.0
-    alpha: float = 1.5
 
     @classmethod
     def for_distribution(
-        cls, distribution: ArchitectureDistribution, delta_init: float = 1.0, alpha: float = 1.5
+        cls, distribution: ArchitectureDistribution, delta_init: float = 1.0
     ) -> "AsngState":
         # two free coordinates per 3-way column
-        return cls(
-            signal=np.zeros(2 * distribution.column_count()),
-            delta_init=delta_init,
-            alpha=alpha,
-        )
+        return cls(signal=np.zeros(2 * distribution.column_count()), delta_init=delta_init)
 
 
 def _fisher_normalized(
@@ -270,11 +271,10 @@ def asng_update(
     distribution: ArchitectureDistribution,
     direction: Mapping[int, np.ndarray],
     state: AsngState,
-    clip_floor: float = 1e-12,
 ) -> tuple[ArchitectureDistribution, AsngState]:
     """Natural-gradient step with adaptive scale; keeps columns on the simplex.
 
-    After the step every entry is clipped to [clip_floor, 1] and each
+    After the step every entry is clipped to [THETA_FLOOR, 1] and each
     column renormalized to sum exactly 1. Mutates and returns its inputs.
     """
     delta = state.delta_init / state.trust
@@ -286,13 +286,13 @@ def asng_update(
     for n in distribution.arities():
         theta = distribution.thetas[n]
         theta += step * direction[n]
-        np.clip(theta, clip_floor, 1.0, out=theta)
+        np.clip(theta, THETA_FLOOR, 1.0, out=theta)
         theta *= 1.0 / theta.sum(axis=0)
     signal = state.signal
     signal *= 1.0 - beta
     signal += (np.sqrt(beta * (2.0 - beta)) / pnorm) * normalized
     state.gamma = (1.0 - beta) ** 2 * state.gamma + beta * (2.0 - beta)
-    state.trust *= float(np.exp(beta * (state.gamma - signal @ signal / state.alpha)))
+    state.trust *= float(np.exp(beta * (state.gamma - signal @ signal / ASNG_ALPHA)))
     state.trust = min(max(state.trust, 1e-8), 1e8)
     return distribution, state
 
@@ -307,7 +307,6 @@ class SearchConfig:
     search_epochs: int = 10
     val_batch_size: int = 128
     theta_lr: float = 1.0  # delta_init of the adaptive step rule
-    alpha: float = 1.5
     seed: int = 0
     dimension: int | None = None  # search-phase dim; None falls back to train config
     tie_policy: str = "optimistic"
@@ -378,9 +377,7 @@ def search_loop(
         distribution = initial_theta.copy()
     else:
         distribution = init_theta(max(max_arity, 2), M)
-    state = AsngState.for_distribution(
-        distribution, delta_init=search_config.theta_lr, alpha=search_config.alpha
-    )
+    state = AsngState.for_distribution(distribution, delta_init=search_config.theta_lr)
     embeddings = init_embeddings(
         vocab.entity_count, vocab.relation_count, dim, M, train_config.seed
     )

@@ -266,6 +266,32 @@ class TestMalformedArtifacts:
         rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
         self.assert_data_error(rc, capsys, "n_e")
 
+    def test_checkpoint_without_matrices(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        meta = {"n_e": 4, "n_r": 2, "dimension": 8, "segment_count": 2,
+                "architecture_file": "architecture.json"}
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
+        self.assert_data_error(rc, capsys, "entities.bin")
+
+    def test_directory_as_json_file(self, tmp_path, capsys):
+        folder = tmp_path / "arch_dir.json"
+        folder.mkdir()
+        self.assert_data_error(run("inspect-arch", folder), capsys, "arch_dir.json")
+
+    def test_directory_as_fact_file(self, tmp_path, capsys):
+        folder = tmp_path / "facts_dir"
+        folder.mkdir()
+        rc = run("ingest", "--train", folder, "--out", tmp_path / "o")
+        self.assert_data_error(rc, capsys, "facts_dir")
+
+    def test_directory_as_train_split(self, tmp_path, capsys):
+        (tmp_path / "ds" / "train.tsv").mkdir(parents=True)
+        rc = run("train", "--data", tmp_path / "ds", "--out", tmp_path / "c",
+                 "--preset", "cp")
+        self.assert_data_error(rc, capsys, "train.tsv")
+
 
 class TestFixedArityMode:
     @pytest.fixture
@@ -285,22 +311,20 @@ class TestFixedArityMode:
         assert run("ingest", "--train", raw, "--out", out, "--holdout-fraction", 0.15) == 0
         return out
 
-    def test_fixed_arity_requires_arity_flag(self, mixed_dir, tmp_path, capsys):
-        rc = run("train", "--data", mixed_dir, "--out", tmp_path / "c",
-                 "--preset", "cp", "--dim", 8, "--segments", 2, "--epochs", 1,
-                 "--mode", "fixed-arity")
-        assert rc == 3
-        assert "--arity" in capsys.readouterr().err
-
     def test_fixed_arity_filters_facts(self, mixed_dir, tmp_path, capsys):
         ckpt = tmp_path / "c3"
         assert run("train", "--data", mixed_dir, "--out", ckpt, "--preset", "cp",
                    "--dim", 8, "--segments", 2, "--epochs", 1, "--batch-size", 16,
-                   "--mode", "fixed-arity", "--arity", 3) == 0
+                   "--arity", 3) == 0
         meta = json.loads((ckpt / "meta.json").read_text())
         assert meta["max_arity"] == 3
         arch = load_architecture(ckpt / "architecture.json")
         assert arch.max_arity == 3
+        dataset = load_dataset_dir(mixed_dir, strict_vocabulary=False)
+        arity3 = sum(f.arity == 3 for f in dataset.train)
+        assert 0 < arity3 < len(dataset.train)
+        history = json.loads((ckpt / "loss_history.json").read_text())
+        assert [e["facts"] for e in history["epochs"]] == [arity3]
 
 
 class TestMetricsArtifact:
@@ -350,3 +374,18 @@ class TestConfigPrecedence:
         assert echoed["facts_per_arity"] == 60
         stats = json.loads(capsys.readouterr().out)
         assert stats["entities"] <= 20
+
+    def test_search_and_train_echo_their_keys(self, planted_dir, tmp_path, capsys):
+        shared = {"dimension", "segments", "seed", "learning_rate", "decay_rate",
+                  "batch_size", "holdout_fraction", "tie_policy", "arity"}
+        search, ckpt = tmp_path / "search", tmp_path / "ckpt"
+        assert run("search", "--data", planted_dir, "--out", search, "--dim", 8,
+                   "--search-epochs", 0) == 0
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--epochs", 0) == 0
+        echoed = json.loads((search / "config.json").read_text())
+        assert set(echoed) == shared | {"lam", "search_epochs", "theta_lr", "val_batch_size"}
+        echoed = json.loads((ckpt / "config.json").read_text())
+        assert set(echoed) == shared | {"max_epochs", "patience", "eval_every", "preset",
+                                        "arch"}
+        assert echoed["segments"] == 2 and echoed["arity"] is None
