@@ -227,7 +227,7 @@ def score_batch(
     if embeddings.segment_count != assignment.segment_count:
         raise DataError("embedding and assignment segment counts differ")
     X = pack_participants(embeddings, relation_ids, entity_ids)
-    return kernels.score_batch(assignment.codes.astype(np.float64), X)
+    return kernels.score_batch(assignment.codes, X)
 
 
 def score_fact(

@@ -56,8 +56,8 @@ INGEST_DEFAULTS = {
 }
 
 SYNTH_DEFAULTS = {
-    "entities": 40,
-    "relations": 2,
+    "entities": 100,
+    "relations": 4,
     "arities": "2",
     "dimension": 16,
     "segments": 2,
@@ -92,6 +92,9 @@ RUN_DEFAULTS = {
 NOT_SETTINGS = {"command", "func", "config", "train", "valid", "test", "data", "out",
                 "checkpoint", "split"}
 
+# value types of the settings whose default is None; the others take their default's type
+OPTIONAL_TYPES = {"arity": int, "preset": str, "arch": str, "truth_arch": str}
+
 
 def _print_doc(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -111,10 +114,21 @@ def _effective(args: argparse.Namespace, defaults: dict = RUN_DEFAULTS) -> dict:
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
-            out[key] = file_cfg[key]
+            out[key] = _checked(key, file_cfg[key], defaults[key])
         else:
             out[key] = defaults[key]
     return out
+
+
+def _checked(key: str, value, default):
+    """A config-file value, if it has its key's type (an int also passes for a float)."""
+    if value is None and default is None:
+        return value
+    want = OPTIONAL_TYPES.get(key, type(default))
+    kinds = (int, float) if want is float else (want,)
+    if isinstance(value, bool) is not (want is bool) or not isinstance(value, kinds):
+        raise DataError(f"config key {key!r} must be {want.__name__}, got {value!r}")
+    return value
 
 
 def _build(cls, cfg: dict):

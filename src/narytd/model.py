@@ -48,9 +48,7 @@ def candidate_scores(
     X = pack_participants(embeddings, relation_ids, entity_ids)
     B = X.shape[0]
     used = X.shape[2] * X.shape[3]
-    ctx = kernels.context_batch(
-        assignment.codes.astype(np.float64), X, position + 1
-    ).reshape(B, used)
+    ctx = kernels.context_batch(assignment.codes, X, position + 1).reshape(B, used)
     return ctx @ embeddings.entity_matrix[:, :used].T
 
 
@@ -169,7 +167,7 @@ def grad_batch(
     grads = GradientAccumulator.zeros_like(embeddings)
     loss = 0.0
     for arity, group in sorted(group_by_arity(facts).items()):
-        codes = architecture[arity].codes.astype(np.float64)
+        codes = architecture[arity].codes
         rel_ids, ent_ids = batch_ids(group)
         loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
     return grads, loss

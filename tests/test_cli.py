@@ -106,6 +106,11 @@ class TestSynth:
         truth = load_architecture(out / "truth.json")
         assert truth.validate_all() == []
 
+    def test_bare_synth_uses_feasible_defaults(self, tmp_path, capsys):
+        out = tmp_path / "bare"
+        assert run("synth", "--out", out) == 0
+        assert json.loads(capsys.readouterr().out)["splits"]["train"]["facts"] > 0
+
     def test_infeasible_margin_exits_4(self, tmp_path, capsys):
         rc = run(*synth_args(tmp_path / "x", margin=1e9, **{"max-draws": 20000}))
         assert rc == 4
@@ -256,6 +261,19 @@ class TestMalformedArtifacts:
         bad.write_text("entities = 30\n")
         rc = run("synth", "--out", tmp_path / "s", "--config", bad)
         self.assert_data_error(rc, capsys, "bad_cfg.json")
+
+    def test_config_value_of_wrong_type_for_train(self, planted_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dimension": "8"}))
+        rc = run("train", "--data", planted_dir, "--out", tmp_path / "c", "--preset", "cp",
+                 "--config", cfg)
+        self.assert_data_error(rc, capsys, "'dimension'")
+
+    def test_config_value_of_wrong_type_for_search(self, planted_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 2.5}))
+        rc = run("search", "--data", planted_dir, "--out", tmp_path / "s", "--config", cfg)
+        self.assert_data_error(rc, capsys, "'lam'")
 
     def test_meta_without_entity_count(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

@@ -4,7 +4,7 @@ import pytest
 from narytd import kernels
 
 
-# Brute-force loop kernels: the reference the einsum kernels are checked against.
+# Brute-force loop kernels: the reference the chunked matmul kernels are checked against.
 
 
 def loop_score(codes, X):
@@ -74,20 +74,35 @@ def test_score_single_block_manual():
     assert kernels.score_batch(codes, X)[0] == pytest.approx(20.0)
 
 
-def test_einsum_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    for P, m, ds in [(3, 1, 5), (3, 2, 4), (4, 3, 2), (5, 4, 3)]:
-        codes, X = random_case(rng, P=P, m=m, ds=ds, B=6)
+def assert_match_loop_oracle(codes, X):
+    np.testing.assert_allclose(
+        kernels.score_batch(codes, X), loop_score(codes, X), rtol=1e-12, atol=1e-12
+    )
+    for hole in range(X.shape[1]):
         np.testing.assert_allclose(
-            kernels.score_batch(codes, X), loop_score(codes, X), rtol=1e-12, atol=1e-12
+            kernels.context_batch(codes, X, hole),
+            loop_context(codes, X, hole),
+            rtol=1e-12,
+            atol=1e-12,
         )
-        for hole in range(P):
-            np.testing.assert_allclose(
-                kernels.context_batch(codes, X, hole),
-                loop_context(codes, X, hole),
-                rtol=1e-12,
-                atol=1e-12,
-            )
+
+
+def test_kernels_match_loop_oracle():
+    rng = np.random.default_rng(0)
+    for P, m, ds in [(3, 1, 5), (3, 2, 4), (4, 3, 2), (5, 4, 3), (7, 2, 3)]:
+        assert_match_loop_oracle(*random_case(rng, P=P, m=m, ds=ds, B=6))
+    # the cli-4ary shape: 4-ary facts, m = 4, every block non-zero
+    codes = rng.choice([-1.0, 1.0], size=4**5)
+    assert_match_loop_oracle(codes, rng.normal(size=(6, 5, 4, 8)))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 192, 640])
+def test_chunked_kernels_match_loop_oracle(monkeypatch, chunk_bytes):
+    # W takes 8 * 2**3 = 64 bytes per (row, offset) pair here: 1 byte gives
+    # one pair per chunk, 192 three offsets of one row, 640 two whole rows
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(7)
+    assert_match_loop_oracle(*random_case(rng, P=4, m=2, ds=5, B=6))
 
 
 def test_context_reconstructs_score():
