@@ -95,6 +95,9 @@ NOT_SETTINGS = {"command", "func", "config", "train", "valid", "test", "data", "
 # value types of the settings whose default is None; the others take their default's type
 OPTIONAL_TYPES = {"arity": int, "preset": str, "arch": str, "truth_arch": str}
 
+# the allowed values of the flags that take one of a fixed set, config values included
+CHOICES = {"tie_policy": TIE_POLICIES, "preset": PRESET_NAMES, "split": SPLITS}
+
 
 def _print_doc(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -121,13 +124,16 @@ def _effective(args: argparse.Namespace, defaults: dict = RUN_DEFAULTS) -> dict:
 
 
 def _checked(key: str, value, default):
-    """A config-file value, if it has its key's type (an int also passes for a float)."""
+    """A config-file value, if it has its key's type (an int also passes for a float)
+    and, for a flag with choices, is one of them."""
     if value is None and default is None:
         return value
     want = OPTIONAL_TYPES.get(key, type(default))
     kinds = (int, float) if want is float else (want,)
     if isinstance(value, bool) is not (want is bool) or not isinstance(value, kinds):
         raise DataError(f"config key {key!r} must be {want.__name__}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise DataError(f"config key {key!r} must be one of {CHOICES[key]}, got {value!r}")
     return value
 
 
@@ -400,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--decay-rate", dest="decay_rate", type=float)
     run.add_argument("--batch-size", dest="batch_size", type=int)
     run.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    run.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
+    run.add_argument("--tie-policy", dest="tie_policy", choices=CHOICES["tie_policy"])
     run.add_argument("--arity", type=int, help="use only the facts of this arity")
     run.add_argument("--config", help="JSON config file")
 
@@ -415,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[run], help="train embeddings under a fixed architecture")
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--arch", help="architecture file")
-    p.add_argument("--preset", choices=PRESET_NAMES)
+    p.add_argument("--preset", choices=CHOICES["preset"])
     p.add_argument("--epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--eval-every", dest="eval_every", type=int)
@@ -424,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test", choices=SPLITS)
-    p.add_argument("--tie-policy", dest="tie_policy", choices=TIE_POLICIES)
+    p.add_argument("--split", default="test", choices=CHOICES["split"])
+    p.add_argument("--tie-policy", dest="tie_policy", choices=CHOICES["tie_policy"])
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="also write the metrics document here")

@@ -3,12 +3,20 @@
 Each (fact, entity position) pair is one query. Candidates that are
 known-true fillers for that query (over train+valid+test) are removed
 before ranking, except the query's own answer.
+
+Ranking is one block routine, _block_ranks: it counts, per row of a
+score matrix, the candidates above the truth and subtracts the known-true
+fillers among them, so no candidate mask is built per query. query_ranks
+feeds it row chunks of at most _SCORE_BYTES of scores, which bounds
+evaluation memory whatever the split size; filtered_rank is its one-row
+form.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +30,9 @@ from .model import batch_ids, candidate_scores
 HITS_LEVELS = (1, 3, 10)
 
 TIE_POLICIES = ("optimistic", "pessimistic")
+
+# Upper bound on one chunk's candidate score matrix in query_ranks, in bytes.
+_SCORE_BYTES = 32 << 20
 
 
 @dataclass
@@ -44,6 +55,38 @@ class RankingMetrics:
         return doc
 
 
+def _check_tie_policy(tie_policy: str) -> None:
+    if tie_policy not in TIE_POLICIES:
+        raise DataError(f"unknown tie policy {tie_policy!r}; expected {TIE_POLICIES}")
+
+
+def _block_ranks(
+    Z: np.ndarray,
+    truth: np.ndarray,
+    filler_rows: np.ndarray,
+    filler_cols: np.ndarray,
+    tie_policy: str,
+) -> np.ndarray:
+    """Filtered ranks of a block of queries, shape (b,).
+
+    Row b of Z holds query b's candidate scores and truth[b] its answer;
+    the known-true fillers are the (filler_rows, filler_cols) entries.
+    rank[b] = 1 + #{Z[b] > t_b} minus the fillers other than the truth
+    that score above t_b, where t_b = Z[b, truth[b]]. Pessimistic ties
+    also count the score-equal candidates, fillers and truth excepted.
+    """
+    t = Z[np.arange(len(Z)), truth]
+    other = filler_cols != truth[filler_rows]
+    rows, cols = filler_rows[other], filler_cols[other]
+    filler_z, filler_t = Z[rows, cols], t[rows]
+    rank = 1 + np.count_nonzero(Z > t[:, None], axis=1)
+    rank -= np.bincount(rows[filler_z > filler_t], minlength=len(Z))
+    if tie_policy == "pessimistic":
+        rank += np.count_nonzero(Z == t[:, None], axis=1) - 1  # the truth ties itself
+        rank -= np.bincount(rows[filler_z == filler_t], minlength=len(Z))
+    return rank
+
+
 def filtered_rank(
     scores: np.ndarray,
     true_entity: int,
@@ -55,23 +98,15 @@ def filtered_rank(
     Optimistic ties: score-equal survivors do not push the rank down.
     Pessimistic ties: they all count as ranked above the truth.
     """
-    if tie_policy not in TIE_POLICIES:
-        raise DataError(f"unknown tie policy {tie_policy!r}; expected {TIE_POLICIES}")
+    _check_tie_policy(tie_policy)
     scores = np.asarray(scores)
     if not 0 <= true_entity < len(scores):
         raise DataError(f"true entity {true_entity} outside candidate range")
-    exclude = np.zeros(len(scores), dtype=bool)
-    idx = np.fromiter((e for e in filter_set), dtype=np.int64)
-    if idx.size:
-        exclude[idx] = True
-    exclude[true_entity] = False
-    true_score = scores[true_entity]
-    survivors = ~exclude
-    rank = 1 + int(np.count_nonzero(survivors & (scores > true_score)))
-    if tie_policy == "pessimistic":
-        ties = survivors & (scores == true_score)
-        rank += int(np.count_nonzero(ties)) - 1  # the truth ties itself
-    return rank
+    cols = np.unique(np.fromiter(filter_set, dtype=np.int64))
+    rank = _block_ranks(
+        scores[None, :], np.array([true_entity]), np.zeros_like(cols), cols, tie_policy
+    )
+    return int(rank[0])
 
 
 def mrr(ranks: Sequence[int]) -> float:
@@ -106,25 +141,33 @@ def query_ranks(
 ) -> list[int]:
     """Filtered ranks for every (fact, position) query, in fact order.
 
-    Facts are scored in same-arity batches; the returned list is ordered
-    by fact then position, regardless of batching.
+    Facts are scored in same-arity batches, one hole position at a time,
+    in row chunks whose (rows, n_e) score matrix stays within
+    _SCORE_BYTES, so memory does not grow with the number of facts. Each
+    chunk is ranked as one block (see _block_ranks). The returned list is
+    ordered by fact then position, regardless of batching.
     """
-    per_fact: dict[int, list[int]] = {}
+    _check_tie_policy(tie_policy)
+    arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
+    first_query = np.cumsum(arities) - arities
+    ranks = np.empty(int(arities.sum()), dtype=np.int64)
+    step = max(1, _SCORE_BYTES // (8 * embeddings.entity_count))  # float64 scores
     for arity, group in sorted(group_by_arity(facts).items()):
         assignment = architecture[arity]
-        indices = [i for i, f in enumerate(facts) if f.arity == arity]
+        first = first_query[arities == arity]
         rel_ids, ent_ids = batch_ids(group)
         for p in range(arity):
-            Z = candidate_scores(assignment, embeddings, rel_ids, ent_ids, p)
-            for row, fact_idx in enumerate(indices):
-                fact = facts[fact_idx]
-                fillers = filter_index.fillers(fact.relation, fact.entities, p)
-                rank = filtered_rank(Z[row], fact.entities[p], fillers, tie_policy)
-                per_fact.setdefault(fact_idx, []).append(rank)
-    ranks: list[int] = []
-    for i in range(len(facts)):
-        ranks.extend(per_fact.get(i, []))
-    return ranks
+            for start in range(0, len(group), step):
+                chunk = slice(start, start + step)
+                Z = candidate_scores(assignment, embeddings, rel_ids[chunk], ent_ids[chunk], p)
+                fillers = [
+                    filter_index.fillers(fact.relation, fact.entities, p) for fact in group[chunk]
+                ]
+                counts = np.fromiter(map(len, fillers), dtype=np.int64, count=len(fillers))
+                cols = np.fromiter(chain.from_iterable(fillers), dtype=np.int64, count=counts.sum())
+                rows = np.repeat(np.arange(len(fillers)), counts)
+                ranks[first[chunk] + p] = _block_ranks(Z, ent_ids[chunk, p], rows, cols, tie_policy)
+    return ranks.tolist()
 
 
 def evaluate(

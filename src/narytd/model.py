@@ -115,6 +115,23 @@ class GradientAccumulator:
         return self
 
 
+# Upper bound on one row block of the in-place softmax, in bytes: the
+# block's max, exp, sum and divide passes then run in cache.
+_SOFTMAX_BLOCK_BYTES = 2 << 20
+
+
+def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """target[ids[i]] += rows[i] for every i, repeated ids summed.
+
+    Rows are sorted by id (stable) and each run of equal ids is summed by
+    one np.add.reduceat, so every target row is written once.
+    """
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    target[ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 def _grad_arity_group(
     codes: np.ndarray,
     embeddings: SegmentedEmbeddings,
@@ -122,7 +139,20 @@ def _grad_arity_group(
     entity_ids: np.ndarray,
     grads: GradientAccumulator,
 ) -> float:
-    """Accumulate the loss gradient of one same-arity group; return its loss."""
+    """Accumulate the loss gradient of one same-arity group; return its loss.
+
+    Each of the B facts yields n queries, one per entity position (hole).
+    Their contexts are stacked hole-major into one (n*B, m*ds) matrix C,
+    so the candidate sweep is one matmul Z = C @ E.T over the used entity
+    columns. The softmax runs in place on Z, with one exp pass over row
+    blocks of at most _SOFTMAX_BLOCK_BYTES; Z then holds G = softmax -
+    onehot(truth), the loss gradient with respect to the candidate
+    scores. The hole gradient G.T @ C and the softmax-weighted candidate
+    mixture G @ E are one matmul each. The remaining
+    participants of each query get their gradient from contexts in which
+    the hole holds that mixture (multilinearity), scattered into the
+    gradient rows once per hole for the relation and once for the entities.
+    """
     B, n = entity_ids.shape
     X = pack_participants(embeddings, relation_ids, entity_ids)
     m, ds = X.shape[2], X.shape[3]
@@ -130,31 +160,40 @@ def _grad_arity_group(
     E_used = embeddings.entity_matrix[:, :used]
     ent_grad = grads.entity[:, :used]
     rel_grad = grads.relation[:, :used]
-    rows = np.arange(B)
-    loss = 0.0
+    C = np.empty((n * B, used))
     for p in range(n):
-        ctx = kernels.context_batch(codes, X, p + 1).reshape(B, used)
-        Z = ctx @ E_used.T
-        lse = _logsumexp_rows(Z)
-        true_ids = entity_ids[:, p]
-        loss += float((lse - Z[rows, true_ids]).sum())
-        G = np.exp(Z - lse[:, None])
-        G[rows, true_ids] -= 1.0
-        # candidates at the hole: every entity row takes its softmax share
-        ent_grad += G.T @ ctx
-        # remaining slots see the softmax-weighted candidate mixture, which
-        # by multilinearity stands in for the whole candidate sweep
-        virtual = (G @ E_used).reshape(B, m, ds)
+        C[p * B : (p + 1) * B] = kernels.context_batch(codes, X, p + 1).reshape(B, used)
+    Z = C @ E_used.T
+    rows = np.arange(n * B)
+    true_ids = entity_ids.T.ravel()
+    z_true = Z[rows, true_ids]
+    zmax, sums = np.empty(n * B), np.empty(n * B)
+    step = max(1, _SOFTMAX_BLOCK_BYTES // Z[0].nbytes)
+    for r0 in range(0, n * B, step):
+        block = slice(r0, r0 + step)
+        z = Z[block]
+        zmax[block] = z.max(axis=1)
+        z -= zmax[block, None]
+        np.exp(z, out=z)
+        sums[block] = z.sum(axis=1)
+        z /= sums[block, None]
+    loss = float((np.log(sums) + zmax - z_true).sum())
+    Z[rows, true_ids] -= 1.0
+    # candidates at the hole: every entity row takes its softmax share
+    # ((C.T @ Z).T is the faster BLAS layout of Z.T @ C)
+    ent_grad += (C.T @ Z).T
+    # remaining slots see the softmax-weighted candidate mixture, which
+    # by multilinearity stands in for the whole candidate sweep
+    virtual = (Z @ E_used).reshape(n, B, m, ds)
+    del Z
+    for p in range(n):
         Xv = X.copy()
-        Xv[:, p + 1] = virtual
-        for q in range(n + 1):
-            if q == p + 1:
-                continue
-            ctx_q = kernels.context_batch(codes, Xv, q).reshape(B, used)
-            if q == 0:
-                np.add.at(rel_grad, relation_ids, ctx_q)
-            else:
-                np.add.at(ent_grad, entity_ids[:, q - 1], ctx_q)
+        Xv[:, p + 1] = virtual[p]
+        ctx_rel = kernels.context_batch(codes, Xv, 0).reshape(B, used)
+        _scatter_rows(rel_grad, relation_ids, ctx_rel)
+        slots = [q for q in range(n) if q != p]
+        ctx_ent = [kernels.context_batch(codes, Xv, q + 1).reshape(B, used) for q in slots]
+        _scatter_rows(ent_grad, entity_ids[:, slots].T.ravel(), np.concatenate(ctx_ent))
     return loss
 
 
@@ -240,13 +279,24 @@ class AdamState:
         )
 
 
+# Upper bound on one row block of an Adam update, in bytes: the block's
+# passes over parameter, gradient and moments then run in cache.
+_ADAM_BLOCK_BYTES = 256 * 1024
+
+
 def adam_step(
     embeddings: SegmentedEmbeddings,
     grads: GradientAccumulator,
     state: AdamState,
     learning_rate: float,
 ) -> tuple[SegmentedEmbeddings, AdamState]:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place.
+
+    The update runs over row blocks of at most _ADAM_BLOCK_BYTES with two
+    scratch arrays per parameter matrix and the operation order of
+    param -= lr * (m / c1) / (sqrt(v / c2) + eps), so its results are
+    bit-identical to that formula evaluated on whole matrices.
+    """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
@@ -255,11 +305,24 @@ def adam_step(
         (embeddings.entity_matrix, grads.entity, state.m_entity, state.v_entity),
         (embeddings.relation_matrix, grads.relation, state.m_relation, state.v_relation),
     ):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        param -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        rows = max(1, _ADAM_BLOCK_BYTES // (param.itemsize * param.shape[1]))
+        step_buf = np.empty((min(rows, len(param)), param.shape[1]))
+        denom_buf = np.empty_like(step_buf)
+        for r0 in range(0, len(param), rows):
+            block = slice(r0, r0 + rows)
+            p, g, m_b, v_b = param[block], grad[block], m[block], v[block]
+            step, denom = step_buf[: len(p)], denom_buf[: len(p)]
+            m_b *= ADAM_BETA1
+            m_b += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+            v_b *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=step)
+            v_b += np.multiply(step, g, out=step)
+            np.divide(m_b, c1, out=step)
+            np.multiply(learning_rate, step, out=step)
+            np.divide(v_b, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            p -= np.divide(step, denom, out=step)
     return embeddings, state
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from narytd import cli
 from narytd.blocks import load_architecture
 from narytd.cli import main
 from narytd.data import load_dataset_dir
@@ -274,6 +275,17 @@ class TestMalformedArtifacts:
         cfg.write_text(json.dumps({"lam": 2.5}))
         rc = run("search", "--data", planted_dir, "--out", tmp_path / "s", "--config", cfg)
         self.assert_data_error(rc, capsys, "'lam'")
+
+    @pytest.mark.parametrize("key", ["tie_policy", "preset"])
+    def test_config_value_outside_choices(self, key, planted_dir, tmp_path, capsys, monkeypatch):
+        # rejected while the settings are read, before any training
+        monkeypatch.setattr(cli, "train_fixed", lambda *a, **k: pytest.fail("trained"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "cp", "eval_every": 0, key: "bogus"}))
+        out = tmp_path / "c"
+        rc = run("train", "--data", planted_dir, "--out", out, "--epochs", 3, "--config", cfg)
+        self.assert_data_error(rc, capsys, f"{key!r}")
+        assert not out.exists()
 
     def test_meta_without_entity_count(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

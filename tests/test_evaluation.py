@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from narytd import evaluation
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
@@ -190,6 +193,50 @@ class TestEvaluate:
         )
         new_ranks = query_ranks(emb, arch, [target], build_filter_index(augmented))
         assert all(n <= b for n, b in zip(new_ranks, base_ranks))
+
+    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 5, 8 * 7 * 1000])
+    def test_chunked_ranks_equal_brute_force(self, score_bytes, monkeypatch):
+        # 7 entities: chunks of 1 row, 5 rows (a short last chunk) and all rows
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", score_bytes)
+        rng = np.random.default_rng(5)
+        ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
+        # small integer embeddings: exact scores, so ties occur and count
+        emb = SegmentedEmbeddings(
+            rng.integers(-1, 2, size=(ds.vocabulary.entity_count, 4)).astype(np.float64),
+            rng.integers(-1, 2, size=(ds.vocabulary.relation_count, 4)).astype(np.float64),
+            2,
+        )
+        arch = preset_set("cp", 3, 2)
+        fi = build_filter_index(ds)
+        test = ds.test + ds.valid + ds.train  # more queries, some with several fillers
+        assert any(len(fi.fillers(f.relation, f.entities, p)) > 1
+                   for f in test for p in range(f.arity))
+        ranks = {}
+        for policy in ("optimistic", "pessimistic"):
+            ranks[policy] = query_ranks(emb, arch, test, fi, policy)
+            assert ranks[policy] == brute_force_ranks(emb, arch, test, fi, policy)
+        assert any(o < p for o, p in zip(ranks["optimistic"], ranks["pessimistic"]))
+
+    def test_peak_memory_flat_in_split_size(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 1 << 20)
+        rng = np.random.default_rng(6)
+        n_e, n_r = 4000, 5
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
+        arch = preset_set("cp", 2, 2)
+        facts = [Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=2)))
+                 for _ in range(1000)]
+        fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
+                                                   [f"r{i}" for i in range(n_r)]), facts, [], []))
+        peaks = []
+        for split in (facts[:100], facts):
+            tracemalloc.start()
+            try:
+                query_ranks(emb, arch, split, fi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one whole 1000 x 4000 score matrix alone would be 32 MB
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_empty_split_errors(self):
         ds = build_dataset([("r", ("a", "b"))])

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from narytd.blocks import ArchitectureSet, CoreAssignment, preset_set, zero_assignment
+from narytd import kernels, model
+from narytd.blocks import ArchitectureSet, CoreAssignment, pack_participants, preset_set, zero_assignment
 from narytd.data import Fact
 from narytd.embeddings import SegmentedEmbeddings, init_embeddings
 from narytd.errors import DataError
 from narytd.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     GradientAccumulator,
     adam_step,
+    batch_ids,
     batch_loss,
     grad_batch,
     grad_embeddings_mc,
@@ -213,7 +218,97 @@ class TestGradients:
         assert np.array_equal(one.entity, two.entity)
 
 
+def per_hole_grad_batch(architecture, embeddings, facts):
+    """Reference gradient: one softmax, candidate matmul and np.add.at
+    scatter per hole position, two exp passes per softmax."""
+    ent_grad = np.zeros_like(embeddings.entity_matrix)
+    rel_grad = np.zeros_like(embeddings.relation_matrix)
+    loss = 0.0
+    for arity in sorted({f.arity for f in facts}):
+        codes = architecture[arity].codes
+        rel_ids, ent_ids = batch_ids([f for f in facts if f.arity == arity])
+        B, n = ent_ids.shape
+        X = pack_participants(embeddings, rel_ids, ent_ids)
+        m, ds = X.shape[2], X.shape[3]
+        used = m * ds
+        E = embeddings.entity_matrix[:, :used]
+        rows = np.arange(B)
+        for p in range(n):
+            ctx = kernels.context_batch(codes, X, p + 1).reshape(B, used)
+            Z = ctx @ E.T
+            zmax = Z.max(axis=1)
+            lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+            loss += float((lse - Z[rows, ent_ids[:, p]]).sum())
+            G = np.exp(Z - lse[:, None])
+            G[rows, ent_ids[:, p]] -= 1.0
+            ent_grad[:, :used] += G.T @ ctx
+            Xv = X.copy()
+            Xv[:, p + 1] = (G @ E).reshape(B, m, ds)
+            for q in range(n + 1):
+                if q == p + 1:
+                    continue
+                ctx_q = kernels.context_batch(codes, Xv, q).reshape(B, used)
+                if q == 0:
+                    np.add.at(rel_grad[:, :used], rel_ids, ctx_q)
+                else:
+                    np.add.at(ent_grad[:, :used], ent_ids[:, q - 1], ctx_q)
+    return ent_grad, rel_grad, loss
+
+
+class TestStackedGradient:
+    @pytest.mark.parametrize("softmax_bytes", [1, 8 * 9 * 5, 1 << 20])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_matches_per_hole_reference(self, M, softmax_bytes, monkeypatch):
+        # arities 2-4 give m = min(n, M): 1 for M=1, 2 for M=2, and with
+        # M=3 an arity-2 group whose used columns stop short of d; the
+        # softmax runs in row blocks of 1, 5 and all rows
+        monkeypatch.setattr(model, "_SOFTMAX_BLOCK_BYTES", softmax_bytes)
+        rng = np.random.default_rng(20 + M)
+        n_e, n_r, d = 9, 3, 6
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, d)), rng.normal(size=(n_r, d)), M)
+        arch = ArchitectureSet({
+            n: CoreAssignment(n, M, rng.choice([-1, 0, 1], size=min(n, M) ** (n + 1)).astype(np.int8))
+            for n in (2, 3, 4)
+        })
+        # repeated entities and relations exercise the row scatter's sums
+        facts = [
+            Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=n)))
+            for n in (2, 3, 4, 2, 3, 4, 4, 2, 3, 3, 2, 4)
+        ]
+        grads, loss = grad_batch(arch, emb, facts)
+        ref_ent, ref_rel, ref_loss = per_hole_grad_batch(arch, emb, facts)
+        np.testing.assert_allclose(grads.entity, ref_ent, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.relation, ref_rel, rtol=1e-12, atol=1e-12)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 6 * 3, 1 << 20])
+    def test_matches_out_of_place_formula_bitwise(self, block_bytes, monkeypatch):
+        # row blocks of 1, 3 (a short last block) and all rows
+        monkeypatch.setattr(model, "_ADAM_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(12)
+        emb = SegmentedEmbeddings(rng.normal(size=(7, 6)), rng.normal(size=(3, 6)), 2)
+        ref = [emb.entity_matrix.copy(), emb.relation_matrix.copy()]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        state = AdamState.for_embeddings(emb)
+        lr = 0.03
+        for t in range(1, 17):
+            grads = GradientAccumulator(rng.normal(size=(7, 6)), rng.normal(size=(3, 6)))
+            adam_step(emb, grads, state, lr)
+            c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            for param, grad, m, v in zip(ref, (grads.entity, grads.relation), ref_m, ref_v):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad * grad
+                param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert np.array_equal(emb.entity_matrix, ref[0])
+        assert np.array_equal(emb.relation_matrix, ref[1])
+        assert np.array_equal(state.m_entity, ref_m[0]) and np.array_equal(state.v_entity, ref_v[0])
+        assert np.array_equal(state.m_relation, ref_m[1]) and np.array_equal(state.v_relation, ref_v[1])
+
     def test_zero_gradient_keeps_parameters(self):
         emb = init_embeddings(3, 2, 4, 2, seed=0)
         before_e = emb.entity_matrix.copy()
