@@ -200,7 +200,8 @@ def pack_participants(
     """Pack a same-arity batch into the kernel layout (B, n+1, m, ds).
 
     relation_ids: (B,) int; entity_ids: (B, n) int. Participant 0 is the
-    relation; only the first m = min(n, M) segments are gathered.
+    relation; only the first m = min(n, M) segments are gathered. X takes
+    the embeddings' dtype.
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
@@ -208,7 +209,7 @@ def pack_participants(
     m = min(n, embeddings.segment_count)
     ds = embeddings.segment_length
     used = m * ds
-    X = np.empty((B, n + 1, m, ds), dtype=np.float64)
+    X = np.empty((B, n + 1, m, ds), dtype=embeddings.entity_matrix.dtype)
     X[:, 0] = embeddings.relation_matrix[relation_ids, :used].reshape(B, m, ds)
     for q in range(n):
         X[:, q + 1] = embeddings.entity_matrix[entity_ids[:, q], :used].reshape(B, m, ds)

@@ -299,6 +299,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     embeddings, architecture, _meta = load_checkpoint(args.checkpoint)
     dataset = _load_data(cfg, args.data)
+    vocab = dataset.vocabulary
+    if (embeddings.entity_count, embeddings.relation_count) != (
+        vocab.entity_count,
+        vocab.relation_count,
+    ):
+        raise DataError(
+            f"checkpoint {args.checkpoint} has {embeddings.entity_count} entities and "
+            f"{embeddings.relation_count} relations, the dataset vocabulary "
+            f"{vocab.entity_count} and {vocab.relation_count}"
+        )
     doc = evaluate_with_timing(
         embeddings, architecture, dataset, args.split, tie_policy=cfg["tie_policy"]
     )

@@ -10,6 +10,10 @@ fillers among them, so no candidate mask is built per query. query_ranks
 feeds it row chunks of at most _SCORE_BYTES of scores, which bounds
 evaluation memory whatever the split size; filtered_rank is its one-row
 form.
+
+Ranking computes in float64 whatever the embeddings' dtype: query_ranks
+upcasts the (float32) trained embeddings once per call, so ranks equal a
+float64 computation on the stored values.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .blocks import ArchitectureSet
+from .blocks import ArchitectureSet, pack_participants
 from .data import Dataset, Fact, FilterIndex, build_filter_index, group_by_arity
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
@@ -141,13 +145,19 @@ def query_ranks(
 ) -> list[int]:
     """Filtered ranks for every (fact, position) query, in fact order.
 
-    Facts are scored in same-arity batches, one hole position at a time,
-    in row chunks whose (rows, n_e) score matrix stays within
-    _SCORE_BYTES, so memory does not grow with the number of facts. Each
-    chunk is ranked as one block (see _block_ranks). The returned list is
-    ordered by fact then position, regardless of batching.
+    Facts are scored in float64, in same-arity row chunks whose (rows,
+    n_e) score matrix stays within _SCORE_BYTES, so memory does not grow
+    with the number of facts. Each chunk is packed once and scored one
+    hole position at a time, and each (chunk, position) is ranked as one
+    block (see _block_ranks). The returned list is ordered by fact then
+    position, regardless of batching.
     """
     _check_tie_policy(tie_policy)
+    embeddings = SegmentedEmbeddings(
+        embeddings.entity_matrix.astype(np.float64, copy=False),
+        embeddings.relation_matrix.astype(np.float64, copy=False),
+        embeddings.segment_count,
+    )
     arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
     first_query = np.cumsum(arities) - arities
     ranks = np.empty(int(arities.sum()), dtype=np.int64)
@@ -156,10 +166,11 @@ def query_ranks(
         assignment = architecture[arity]
         first = first_query[arities == arity]
         rel_ids, ent_ids = batch_ids(group)
-        for p in range(arity):
-            for start in range(0, len(group), step):
-                chunk = slice(start, start + step)
-                Z = candidate_scores(assignment, embeddings, rel_ids[chunk], ent_ids[chunk], p)
+        for start in range(0, len(group), step):
+            chunk = slice(start, start + step)
+            X = pack_participants(embeddings, rel_ids[chunk], ent_ids[chunk])
+            for p in range(arity):
+                Z = candidate_scores(assignment, embeddings, X, p)
                 fillers = [
                     filter_index.fillers(fact.relation, fact.entities, p) for fact in group[chunk]
                 ]

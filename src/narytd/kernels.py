@@ -2,10 +2,14 @@
 
 Facts of arity n touch P = n + 1 participant vectors (relation first),
 each restricted to its first m segments of length ds. A batch is packed
-into one float64 array X of shape (B, P, m, ds); the block codes are a
+into one float array X of shape (B, P, m, ds); the block codes are a
 flat vector of length K = m**P (any numeric dtype; the kernels cast it
-to float64), indexed row-major with the relation's segment index
+to X's dtype), indexed row-major with the relation's segment index
 slowest.
+
+The compute dtype is X's: float32 stays float32 and any other dtype is
+computed in float64 (see compute_array), so the kernels return the
+dtype of the embeddings they were packed from.
 
 Both kernels contract the (m,)*P core tensor against every participant
 but one (the hole) with one BLAS matmul per chunk of the batch: the core
@@ -38,6 +42,12 @@ def encode_block(index: tuple[int, ...], m: int) -> int:
     return k
 
 
+def compute_array(a) -> np.ndarray:
+    """`a` as an array of its compute dtype: float32 kept, anything else float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 # Upper bound on one chunk's outer-product matrix W, in bytes.
 _CHUNK_BYTES = 256 * 1024
 
@@ -54,7 +64,7 @@ def _context_chunks(codes: np.ndarray, X: np.ndarray, hole: int):
     memory. Chunks are sized so W stays within _CHUNK_BYTES; a chunk
     holds at least one (row, offset) pair.
     """
-    codes = np.asarray(codes, dtype=np.float64)
+    codes = np.asarray(codes, dtype=X.dtype)
     B, P, m, ds = X.shape
     if not 0 <= hole < P:
         raise ValueError(f"hole {hole} out of range for {P} participants")
@@ -81,8 +91,8 @@ def score_batch(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     score[b] = sum_k codes[k] * sum_t prod_q X[b, q, j_q(k), t]
     """
-    X = np.asarray(X, dtype=np.float64)
-    out = np.zeros(len(X))
+    X = compute_array(X)
+    out = np.zeros(len(X), dtype=X.dtype)
     for rows, ts, ctx in _context_chunks(codes, X, 0):
         out[rows] += (ctx * X[rows, 0, :, ts].transpose(1, 0, 2)).sum(axis=(0, 2))
     return out
@@ -94,9 +104,9 @@ def context_batch(codes: np.ndarray, X: np.ndarray, hole: int) -> np.ndarray:
     Pairing the result against any vector v, sum_{j,t} out[b,j,t] * v[j,t]
     equals score_batch on the batch with participant `hole` replaced by v.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = compute_array(X)
     B, _, m, ds = X.shape
-    out = np.empty((B, m, ds))
+    out = np.empty((B, m, ds), dtype=X.dtype)
     for rows, ts, ctx in _context_chunks(codes, X, hole):
         out[rows, :, ts] = ctx.transpose(1, 0, 2)
     return out

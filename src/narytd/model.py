@@ -3,6 +3,9 @@
 Positions are 0-based throughout: a fact of arity n has entity positions
 0..n-1, and participant q in the packed kernel layout is the relation for
 q = 0, entity position q - 1 otherwise.
+
+Scores, gradients and Adam moments take the embeddings' dtype (float32
+for trained embeddings, see init_embeddings); loss sums are float64.
 """
 
 from __future__ import annotations
@@ -31,22 +34,19 @@ def batch_ids(facts: Sequence[Fact]) -> tuple[np.ndarray, np.ndarray]:
 def candidate_scores(
     assignment: CoreAssignment,
     embeddings: SegmentedEmbeddings,
-    relation_ids: np.ndarray,
-    entity_ids: np.ndarray,
+    X: np.ndarray,
     position: int,
 ) -> np.ndarray:
     """Scores of every entity substituted at `position`, shape (B, n_e).
 
-    The fixed participants collapse into one context vector per fact, so
-    the candidate sweep is a single matrix product against the entity
-    rows' active prefix.
+    X is the batch packed by pack_participants from `embeddings`, so one
+    pack serves every position. The fixed participants collapse into one
+    context vector per fact, so the candidate sweep is a single matrix
+    product against the entity rows' active prefix.
     """
-    entity_ids = np.asarray(entity_ids)
-    n = entity_ids.shape[1]
-    if not 0 <= position < n:
-        raise DataError(f"position {position} out of range for arity {n}")
-    X = pack_participants(embeddings, relation_ids, entity_ids)
-    B = X.shape[0]
+    B, P = X.shape[:2]
+    if not 0 <= position < P - 1:
+        raise DataError(f"position {position} out of range for arity {P - 1}")
     used = X.shape[2] * X.shape[3]
     ctx = kernels.context_batch(assignment.codes, X, position + 1).reshape(B, used)
     return ctx @ embeddings.entity_matrix[:, :used].T
@@ -63,13 +63,8 @@ def score_all_candidates(
         raise DataError(
             f"arity mismatch: assignment is {assignment.arity}, fact is {fact.arity}"
         )
-    return candidate_scores(
-        assignment,
-        embeddings,
-        np.array([fact.relation]),
-        np.array([fact.entities]),
-        position,
-    )[0]
+    X = pack_participants(embeddings, np.array([fact.relation]), np.array([fact.entities]))
+    return candidate_scores(assignment, embeddings, X, position)[0]
 
 
 def _logsumexp_rows(Z: np.ndarray) -> np.ndarray:
@@ -160,14 +155,14 @@ def _grad_arity_group(
     E_used = embeddings.entity_matrix[:, :used]
     ent_grad = grads.entity[:, :used]
     rel_grad = grads.relation[:, :used]
-    C = np.empty((n * B, used))
+    C = np.empty((n * B, used), dtype=X.dtype)
     for p in range(n):
         C[p * B : (p + 1) * B] = kernels.context_batch(codes, X, p + 1).reshape(B, used)
     Z = C @ E_used.T
     rows = np.arange(n * B)
     true_ids = entity_ids.T.ravel()
     z_true = Z[rows, true_ids]
-    zmax, sums = np.empty(n * B), np.empty(n * B)
+    zmax, sums = np.empty(n * B, dtype=Z.dtype), np.empty(n * B, dtype=Z.dtype)
     step = max(1, _SOFTMAX_BLOCK_BYTES // Z[0].nbytes)
     for r0 in range(0, n * B, step):
         block = slice(r0, r0 + step)
@@ -177,7 +172,7 @@ def _grad_arity_group(
         np.exp(z, out=z)
         sums[block] = z.sum(axis=1)
         z /= sums[block, None]
-    loss = float((np.log(sums) + zmax - z_true).sum())
+    loss = float((np.log(sums, dtype=np.float64) + zmax - z_true).sum())
     Z[rows, true_ids] -= 1.0
     # candidates at the hole: every entity row takes its softmax share
     # ((C.T @ Z).T is the faster BLAS layout of Z.T @ C)
@@ -202,7 +197,10 @@ def grad_batch(
     embeddings: SegmentedEmbeddings,
     facts: Sequence[Fact],
 ) -> tuple[GradientAccumulator, float]:
-    """Analytic gradient of the summed multi-class log loss over a batch."""
+    """Analytic gradient of the summed multi-class log loss over a batch.
+
+    The gradient takes the embeddings' dtype; the loss is a float64 sum.
+    """
     grads = GradientAccumulator.zeros_like(embeddings)
     loss = 0.0
     for arity, group in sorted(group_by_arity(facts).items()):
@@ -222,9 +220,10 @@ def batch_loss(
     for arity, group in sorted(group_by_arity(facts).items()):
         assignment = architecture[arity]
         rel_ids, ent_ids = batch_ids(group)
+        X = pack_participants(embeddings, rel_ids, ent_ids)
         rows = np.arange(len(group))
         for p in range(arity):
-            Z = candidate_scores(assignment, embeddings, rel_ids, ent_ids, p)
+            Z = candidate_scores(assignment, embeddings, X, p)
             lse = _logsumexp_rows(Z)
             total += float((lse - Z[rows, ent_ids[:, p]]).sum())
     return total
@@ -238,17 +237,19 @@ def grad_embeddings_mc(
     """Monte-Carlo gradient averaged over the given architecture sets.
 
     Search passes its lam sampled sets; fixed training passes a one-element
-    list. Returns the mean gradient and the mean summed batch loss.
+    list. Returns the mean gradient and the mean summed batch loss. The
+    first set's gradient is the accumulator, and it is scaled only when
+    there are several sets.
     """
     if not architectures:
         raise ValueError("need at least one architecture")
-    total = GradientAccumulator.zeros_like(embeddings)
-    loss = 0.0
-    for architecture in architectures:
+    total, loss = grad_batch(architectures[0], embeddings, facts)
+    for architecture in architectures[1:]:
         grads, batch_l = grad_batch(architecture, embeddings, facts)
         total += grads
         loss += batch_l
-    total.scale(1.0 / len(architectures))
+    if len(architectures) > 1:
+        total.scale(1.0 / len(architectures))
     return total, loss / len(architectures)
 
 
@@ -263,6 +264,8 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's first and second moments, in the dtype of their parameters."""
+
     m_entity: np.ndarray
     v_entity: np.ndarray
     m_relation: np.ndarray
@@ -295,7 +298,9 @@ def adam_step(
     The update runs over row blocks of at most _ADAM_BLOCK_BYTES with two
     scratch arrays per parameter matrix and the operation order of
     param -= lr * (m / c1) / (sqrt(v / c2) + eps), so its results are
-    bit-identical to that formula evaluated on whole matrices.
+    bit-identical to that formula evaluated on whole matrices. Every
+    operation writes into the parameter's dtype, so float32 parameters
+    and moments stay float32.
     """
     state.step += 1
     t = state.step
@@ -306,7 +311,7 @@ def adam_step(
         (embeddings.relation_matrix, grads.relation, state.m_relation, state.v_relation),
     ):
         rows = max(1, _ADAM_BLOCK_BYTES // (param.itemsize * param.shape[1]))
-        step_buf = np.empty((min(rows, len(param)), param.shape[1]))
+        step_buf = np.empty((min(rows, len(param)), param.shape[1]), dtype=param.dtype)
         denom_buf = np.empty_like(step_buf)
         for r0 in range(0, len(param), rows):
             block = slice(r0, r0 + rows)
@@ -364,6 +369,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, ArchitectureSet, dict]:
+    """Embeddings (writable float32), architecture and meta of a checkpoint."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = load_json_object(meta_path, "checkpoint meta")
@@ -379,8 +385,8 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     if ent.size != n_e * d or rel.size != n_r * d:
         raise DataError("checkpoint matrix sizes do not match meta.json")
     embeddings = SegmentedEmbeddings(
-        ent.reshape(n_e, d).astype(np.float64),
-        rel.reshape(n_r, d).astype(np.float64),
+        ent.reshape(n_e, d).astype(np.float32),
+        rel.reshape(n_r, d).astype(np.float32),
         segment_count,
     )
     architecture = load_architecture(directory / architecture_file)
@@ -388,9 +394,12 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
 
 
 def round_trip_float32(embeddings: SegmentedEmbeddings) -> SegmentedEmbeddings:
-    """Embeddings as they will read back from a float32 checkpoint."""
+    """Embeddings as they will read back from a float32 checkpoint.
+
+    Trained embeddings are float32 already, so for them this is a copy.
+    """
     return SegmentedEmbeddings(
-        embeddings.entity_matrix.astype("<f4").astype(np.float64),
-        embeddings.relation_matrix.astype("<f4").astype(np.float64),
+        embeddings.entity_matrix.astype(np.float32),
+        embeddings.relation_matrix.astype(np.float32),
         embeddings.segment_count,
     )

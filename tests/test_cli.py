@@ -305,6 +305,18 @@ class TestMalformedArtifacts:
         rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
         self.assert_data_error(rc, capsys, "entities.bin")
 
+    @pytest.mark.parametrize("trained, evaluated", [(30, 60), (60, 30)])
+    def test_checkpoint_vocabulary_differs_from_dataset(self, trained, evaluated, tmp_path, capsys):
+        # a smaller checkpoint used to index past its rows, a larger one
+        # to rank the dataset's queries among foreign entities
+        for n_e in {trained, evaluated}:
+            assert run(*synth_args(tmp_path / f"s{n_e}", entities=n_e)) == 0
+        assert run("train", "--data", tmp_path / f"s{trained}", "--out", tmp_path / "c",
+                   "--preset", "cp", "--dim", 8, "--segments", 2, "--epochs", 1) == 0
+        capsys.readouterr()
+        rc = run("eval", "--checkpoint", tmp_path / "c", "--data", tmp_path / f"s{evaluated}")
+        self.assert_data_error(rc, capsys, "the dataset vocabulary")
+
     def test_directory_as_json_file(self, tmp_path, capsys):
         folder = tmp_path / "arch_dir.json"
         folder.mkdir()

@@ -217,6 +217,42 @@ class TestEvaluate:
             assert ranks[policy] == brute_force_ranks(emb, arch, test, fi, policy)
         assert any(o < p for o, p in zip(ranks["optimistic"], ranks["pessimistic"]))
 
+    @pytest.mark.parametrize("values", ["normal", "integer"])
+    def test_float32_embeddings_rank_as_float64(self, values):
+        # the same values held as float32 and as float64 rank identically;
+        # integer values make ties, which the two policies rank differently
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, n_e=9, facts=40)
+        n_e, n_r = ds.vocabulary.entity_count, ds.vocabulary.relation_count
+        if values == "normal":
+            ent, rel = rng.normal(size=(n_e, 4)), rng.normal(size=(n_r, 4))
+        else:
+            ent, rel = rng.integers(-1, 2, size=(n_e, 4)), rng.integers(-1, 2, size=(n_r, 4))
+        emb32 = SegmentedEmbeddings(ent.astype(np.float32), rel.astype(np.float32), 2)
+        emb64 = SegmentedEmbeddings(
+            emb32.entity_matrix.astype(np.float64), emb32.relation_matrix.astype(np.float64), 2
+        )
+        arch = ArchitectureSet({
+            n: CoreAssignment(n, 2, rng.choice([-1, 0, 1], size=min(n, 2) ** (n + 1)).astype(np.int8))
+            for n in (2, 3)
+        })
+        fi = build_filter_index(ds)
+        facts = ds.train + ds.valid + ds.test
+        for policy in ("optimistic", "pessimistic"):
+            assert query_ranks(emb32, arch, facts, fi, policy) == query_ranks(
+                emb64, arch, facts, fi, policy
+            )
+
+    def test_float32_embeddings_are_ranked_in_float64(self):
+        # at position 1 the truth (entity 1) scores 1 + 2**-24 and entity 2
+        # scores 1: distinct in float64, tied once rounded to float32
+        ent = np.array([[1.0, 2.0**-24], [1.0, 1.0], [1.0, 0.0]], dtype=np.float32)
+        emb = SegmentedEmbeddings(ent, np.ones((1, 2), dtype=np.float32), 1)
+        fact = Fact(0, (0, 1))
+        fi = build_filter_index(Dataset(Vocabulary(["a", "b", "c"], ["r"]), [fact], [], []))
+        ranks = query_ranks(emb, preset_set("cp", 2, 1), [fact], fi, "pessimistic")
+        assert ranks == [2, 1]
+
     def test_peak_memory_flat_in_split_size(self, monkeypatch):
         monkeypatch.setattr(evaluation, "_SCORE_BYTES", 1 << 20)
         rng = np.random.default_rng(6)

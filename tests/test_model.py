@@ -39,6 +39,7 @@ class TestInitEmbeddings:
     def test_deterministic(self):
         a = init_embeddings(2, 1, 4, 2, seed=0)
         b = init_embeddings(2, 1, 4, 2, seed=0)
+        assert a.entity_matrix.dtype == a.relation_matrix.dtype == np.float32
         assert np.array_equal(a.entity_matrix, b.entity_matrix)
         assert np.array_equal(a.relation_matrix, b.relation_matrix)
         c = init_embeddings(2, 1, 4, 2, seed=1)
@@ -58,6 +59,59 @@ class TestInitEmbeddings:
         assert np.abs(entries).max() <= bound
         sigma = bound / np.sqrt(3.0)
         assert abs(entries.mean()) <= 3.0 * sigma / 1000.0
+
+
+class TestComputeDtype:
+    @pytest.mark.parametrize(
+        "ent, rel, expected",
+        [
+            (np.float32, np.float32, np.float32),
+            (np.float64, np.float64, np.float64),
+            (np.float16, np.float16, np.float64),
+            (np.int64, np.int64, np.float64),
+            (np.float32, np.float64, np.float64),
+        ],
+    )
+    def test_embeddings_keep_float32_or_float64(self, ent, rel, expected):
+        emb = SegmentedEmbeddings(np.ones((3, 4), dtype=ent), np.ones((2, 4), dtype=rel), 2)
+        assert emb.entity_matrix.dtype == emb.relation_matrix.dtype == expected
+
+    def test_float32_gradient_matches_float64(self):
+        rng = np.random.default_rng(13)
+        emb, arch = random_model(rng, n_e=9, n_r=3, d=8, M=2, arities=(2, 3, 4))
+        emb32 = SegmentedEmbeddings(
+            emb.entity_matrix.astype(np.float32), emb.relation_matrix.astype(np.float32), 2
+        )
+        emb64 = SegmentedEmbeddings(
+            emb32.entity_matrix.astype(np.float64), emb32.relation_matrix.astype(np.float64), 2
+        )
+        facts = [
+            Fact(int(rng.integers(3)), tuple(int(x) for x in rng.integers(9, size=n)))
+            for n in (2, 3, 4, 2, 3, 4, 3)
+        ]
+        X = pack_participants(emb32, *batch_ids(facts[:1]))
+        assert X.dtype == kernels.context_batch(arch[2].codes, X, 1).dtype == np.float32
+        g32, loss32 = grad_batch(arch, emb32, facts)
+        g64, loss64 = grad_batch(arch, emb64, facts)
+        for got, want in ((g32.entity, g64.entity), (g32.relation, g64.relation)):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+        assert type(loss32) is float and loss32 == pytest.approx(loss64, rel=1e-4)
+
+    def test_adam_keeps_float32(self):
+        rng = np.random.default_rng(14)
+        emb = init_embeddings(5, 2, 4, 2, seed=0)
+        state = AdamState.for_embeddings(emb)
+        for _ in range(3):
+            grads = GradientAccumulator(
+                rng.normal(size=(5, 4)).astype(np.float32),
+                rng.normal(size=(2, 4)).astype(np.float32),
+            )
+            # a numpy float64 rate must not promote anything written in place
+            adam_step(emb, grads, state, np.float64(0.05))
+        for array in (emb.entity_matrix, emb.relation_matrix, state.m_entity,
+                      state.v_entity, state.m_relation, state.v_relation):
+            assert array.dtype == np.float32
 
 
 class TestScoreAllCandidates:
@@ -355,6 +409,11 @@ class TestCheckpoints:
         expected = round_trip_float32(emb)
         assert np.array_equal(back.entity_matrix, expected.entity_matrix)
         assert np.array_equal(back.relation_matrix, expected.relation_matrix)
+        # float32 embeddings come back unchanged, as writable float32
+        for got, saved in ((back.entity_matrix, emb.entity_matrix),
+                           (back.relation_matrix, emb.relation_matrix)):
+            assert got.dtype == np.float32 and got.flags.writeable
+            assert np.array_equal(got, saved)
 
     def test_binary_layout_little_endian_rows(self, tmp_path):
         emb = SegmentedEmbeddings(
