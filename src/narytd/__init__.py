@@ -38,9 +38,7 @@ from .model import (
     adam_step,
     grad_embeddings_mc,
     load_checkpoint,
-    multiclass_log_loss,
     save_checkpoint,
-    score_all_candidates,
 )
 from .search import (
     ArchitectureDistribution,

@@ -53,10 +53,6 @@ class CoreAssignment:
     def block_total(self) -> int:
         return block_count(self.arity, self.segment_count)
 
-    def code_at(self, index: Sequence[int]) -> int:
-        """Code at a 0-based multi-index (j_r, j_1, ..., j_n)."""
-        return int(self.codes[kernels.encode_block(tuple(index), self.m)])
-
     def nonzero_blocks(self) -> list[tuple[tuple[int, ...], int]]:
         m = self.m
         return [
@@ -290,17 +286,28 @@ def architecture_to_doc(architecture: ArchitectureSet) -> dict:
 
 
 def architecture_from_doc(doc: Mapping) -> ArchitectureSet:
+    """Architecture set of a JSON document; malformed shapes or codes raise DataError."""
     try:
-        segment_count = int(doc["segment_count"])
-        max_arity = int(doc["max_arity"])
+        segment_count, max_arity = doc["segment_count"], doc["max_arity"]
     except KeyError as exc:
         raise DataError(f"architecture document missing field {exc}") from None
+    for name, value in (("segment_count", segment_count), ("max_arity", max_arity)):
+        if type(value) is not int:  # rejects bool, float and str alike
+            raise DataError(f"architecture field {name!r} must be an integer, got {value!r}")
     assignments = {}
     for n in range(2, max_arity + 1):
         key = str(n)
         if key not in doc:
             raise DataError(f"architecture document missing arity {n}")
-        assignment = CoreAssignment(n, segment_count, np.asarray(doc[key], dtype=np.int8))
+        codes = doc[key]
+        if not isinstance(codes, list):
+            raise DataError(f"codes for arity {n} must be a JSON array, got {codes!r}")
+        for k, code in enumerate(codes):
+            if type(code) is not int or code not in (-1, 0, 1):
+                raise DataError(
+                    f"arity {n}: code {code!r} at block {k} is not an integer in {{-1, 0, 1}}"
+                )
+        assignment = CoreAssignment(n, segment_count, np.array(codes, dtype=np.int8))
         problems = validate(assignment)
         if problems:
             raise DataError(f"invalid assignment for arity {n}: " + "; ".join(problems))

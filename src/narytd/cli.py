@@ -40,8 +40,8 @@ from .data import (
     write_dataset_dir,
 )
 from .errors import DataError, NumericError
-from .evaluation import TIE_POLICIES, evaluate, evaluate_with_timing
-from .model import load_checkpoint, round_trip_float32, save_checkpoint
+from .evaluation import TIE_POLICIES, evaluate
+from .model import load_checkpoint, save_checkpoint
 from .search import SearchConfig, save_theta, search_loop
 from .synth import PlantedSpec, generate_planted, random_truth
 from .training import TrainConfig, train_fixed
@@ -273,11 +273,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train_fixed(architecture, dataset, config, tie_policy=cfg["tie_policy"])
     out = Path(args.out)
     extra = {"wall_seconds": time.perf_counter() - start}
-    # meta records the metrics of the float32 artifact actually on disk
-    stored = round_trip_float32(result.embeddings)
+    # result.embeddings are float32, the values the checkpoint stores, so
+    # meta records the metrics of the artifact on disk
     if dataset.valid:
         extra["final_valid_mrr"] = evaluate(
-            stored, architecture, dataset, "valid", tie_policy=cfg["tie_policy"]
+            result.embeddings, architecture, dataset, "valid", tie_policy=cfg["tie_policy"]
         ).mrr
     save_checkpoint(out, result.embeddings, architecture, config=cfg, extra_meta=extra)
     _write_doc(out / "config.json", cfg)
@@ -309,9 +309,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{embeddings.relation_count} relations, the dataset vocabulary "
             f"{vocab.entity_count} and {vocab.relation_count}"
         )
-    doc = evaluate_with_timing(
-        embeddings, architecture, dataset, args.split, tie_policy=cfg["tie_policy"]
-    )
+    start = time.perf_counter()
+    metrics = evaluate(embeddings, architecture, dataset, args.split, tie_policy=cfg["tie_policy"])
+    doc = metrics.to_doc(split=args.split, wall_seconds=time.perf_counter() - start)
     _print_doc(doc)
     if args.out:
         _write_doc(Path(args.out), doc)

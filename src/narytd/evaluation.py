@@ -7,7 +7,9 @@ before ranking, except the query's own answer.
 Ranking is one block routine, _block_ranks: it counts, per row of a
 score matrix, the candidates above the truth and subtracts the known-true
 fillers among them, so no candidate mask is built per query. query_ranks
-feeds it row chunks of at most _SCORE_BYTES of scores, which bounds
+feeds it the hole-major score matrix of each same-arity chunk of facts
+(model.candidate_scores: every hole of every fact in the chunk), with
+chunks sized so that matrix stays within _SCORE_BYTES, which bounds
 evaluation memory whatever the split size; filtered_rank is its one-row
 form.
 
@@ -18,7 +20,6 @@ float64 computation on the stored values.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -35,7 +36,8 @@ HITS_LEVELS = (1, 3, 10)
 
 TIE_POLICIES = ("optimistic", "pessimistic")
 
-# Upper bound on one chunk's candidate score matrix in query_ranks, in bytes.
+# Upper bound on one chunk's stacked (holes x candidates) float64 score
+# matrix in query_ranks, in bytes.
 _SCORE_BYTES = 32 << 20
 
 
@@ -145,12 +147,12 @@ def query_ranks(
 ) -> list[int]:
     """Filtered ranks for every (fact, position) query, in fact order.
 
-    Facts are scored in float64, in same-arity row chunks whose (rows,
-    n_e) score matrix stays within _SCORE_BYTES, so memory does not grow
-    with the number of facts. Each chunk is packed once and scored one
-    hole position at a time, and each (chunk, position) is ranked as one
-    block (see _block_ranks). The returned list is ordered by fact then
-    position, regardless of batching.
+    Facts are scored in float64, in same-arity row chunks. Each chunk is
+    packed once and scored at every hole by one candidate_scores call,
+    whose hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES,
+    so memory does not grow with the number of facts; the chunk is then
+    ranked as one block (see _block_ranks). The returned list is ordered
+    by fact then position, regardless of batching.
     """
     _check_tie_policy(tie_policy)
     embeddings = SegmentedEmbeddings(
@@ -161,23 +163,25 @@ def query_ranks(
     arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
     first_query = np.cumsum(arities) - arities
     ranks = np.empty(int(arities.sum()), dtype=np.int64)
-    step = max(1, _SCORE_BYTES // (8 * embeddings.entity_count))  # float64 scores
     for arity, group in sorted(group_by_arity(facts).items()):
         assignment = architecture[arity]
         first = first_query[arities == arity]
         rel_ids, ent_ids = batch_ids(group)
+        step = max(1, _SCORE_BYTES // (8 * arity * embeddings.entity_count))
         for start in range(0, len(group), step):
             chunk = slice(start, start + step)
             X = pack_participants(embeddings, rel_ids[chunk], ent_ids[chunk])
-            for p in range(arity):
-                Z = candidate_scores(assignment, embeddings, X, p)
-                fillers = [
-                    filter_index.fillers(fact.relation, fact.entities, p) for fact in group[chunk]
-                ]
-                counts = np.fromiter(map(len, fillers), dtype=np.int64, count=len(fillers))
-                cols = np.fromiter(chain.from_iterable(fillers), dtype=np.int64, count=counts.sum())
-                rows = np.repeat(np.arange(len(fillers)), counts)
-                ranks[first[chunk] + p] = _block_ranks(Z, ent_ids[chunk, p], rows, cols, tie_policy)
+            Z = candidate_scores(assignment, embeddings, X)
+            fillers = [
+                filter_index.fillers(fact.relation, fact.entities, p)
+                for p in range(arity)
+                for fact in group[chunk]
+            ]
+            counts = np.fromiter(map(len, fillers), dtype=np.int64, count=len(fillers))
+            cols = np.fromiter(chain.from_iterable(fillers), dtype=np.int64, count=counts.sum())
+            rows = np.repeat(np.arange(len(fillers)), counts)
+            queries = (np.arange(arity)[:, None] + first[chunk]).ravel()
+            ranks[queries] = _block_ranks(Z, ent_ids[chunk].T.ravel(), rows, cols, tie_policy)
     return ranks.tolist()
 
 
@@ -197,17 +201,3 @@ def evaluate(
         filter_index = build_filter_index(dataset)
     ranks = query_ranks(embeddings, architecture, facts, filter_index, tie_policy)
     return aggregate(ranks)
-
-
-def evaluate_with_timing(
-    embeddings: SegmentedEmbeddings,
-    architecture: ArchitectureSet,
-    dataset: Dataset,
-    split: str,
-    filter_index: FilterIndex | None = None,
-    tie_policy: str = "optimistic",
-) -> dict:
-    """Metrics document {split, mrr, hits1, hits3, hits10, queries, wall_seconds}."""
-    start = time.perf_counter()
-    metrics = evaluate(embeddings, architecture, dataset, split, filter_index, tie_policy)
-    return metrics.to_doc(split=split, wall_seconds=time.perf_counter() - start)

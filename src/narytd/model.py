@@ -1,8 +1,15 @@
-"""Batched scoring, multi-class log loss, analytic gradients, Adam.
+"""Candidate scores, the multi-class log loss gradient, Adam, checkpoints.
 
 Positions are 0-based throughout: a fact of arity n has entity positions
 0..n-1, and participant q in the packed kernel layout is the relation for
 q = 0, entity position q - 1 otherwise.
+
+A batch of B facts of arity n poses n*B queries, one per (fact, entity
+position), the position being the query's hole. hole_contexts stacks
+their contexts hole-major into one (n*B, m*ds) matrix, row p*B + b for
+fact b's hole p; no other code computes forward contexts. The training
+gradient sweeps the candidates with one matmul against it, and
+candidate_scores, which filtered ranking uses, returns that matmul.
 
 Scores, gradients and Adam moments take the embeddings' dtype (float32
 for trained embeddings, see init_embeddings); loss sums are float64.
@@ -31,58 +38,33 @@ def batch_ids(facts: Sequence[Fact]) -> tuple[np.ndarray, np.ndarray]:
     return rel, ent
 
 
-def candidate_scores(
-    assignment: CoreAssignment,
-    embeddings: SegmentedEmbeddings,
-    X: np.ndarray,
-    position: int,
-) -> np.ndarray:
-    """Scores of every entity substituted at `position`, shape (B, n_e).
+def hole_contexts(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Contexts of every hole of a packed batch, stacked hole-major.
 
-    X is the batch packed by pack_participants from `embeddings`, so one
-    pack serves every position. The fixed participants collapse into one
-    context vector per fact, so the candidate sweep is a single matrix
-    product against the entity rows' active prefix.
+    X is a same-arity batch packed by pack_participants, shape (B, n+1, m,
+    ds). Row p*B + b of the (n*B, m*ds) result is fact b's context with
+    entity position p held out, so its product with a candidate's used
+    entity columns is fact b's score with that candidate at position p.
     """
-    B, P = X.shape[:2]
-    if not 0 <= position < P - 1:
-        raise DataError(f"position {position} out of range for arity {P - 1}")
-    used = X.shape[2] * X.shape[3]
-    ctx = kernels.context_batch(assignment.codes, X, position + 1).reshape(B, used)
-    return ctx @ embeddings.entity_matrix[:, :used].T
+    B, P, m, ds = X.shape
+    used = m * ds
+    C = np.empty(((P - 1) * B, used), dtype=X.dtype)
+    for p in range(P - 1):
+        C[p * B : (p + 1) * B] = kernels.context_batch(codes, X, p + 1).reshape(B, used)
+    return C
 
 
-def score_all_candidates(
-    assignment: CoreAssignment,
-    embeddings: SegmentedEmbeddings,
-    fact: Fact,
-    position: int,
+def candidate_scores(
+    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, X: np.ndarray
 ) -> np.ndarray:
-    """Candidate scores for one fact and hole position, shape (n_e,)."""
-    if fact.arity != assignment.arity:
-        raise DataError(
-            f"arity mismatch: assignment is {assignment.arity}, fact is {fact.arity}"
-        )
-    X = pack_participants(embeddings, np.array([fact.relation]), np.array([fact.entities]))
-    return candidate_scores(assignment, embeddings, X, position)[0]
+    """Scores of every entity at every hole of a packed batch, (n*B, n_e).
 
-
-def _logsumexp_rows(Z: np.ndarray) -> np.ndarray:
-    zmax = Z.max(axis=1)
-    return zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
-
-
-def multiclass_log_loss(
-    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, fact: Fact
-) -> float:
-    """Sum over entity positions of (logsumexp of candidates - true score)."""
-    total = 0.0
-    for p in range(fact.arity):
-        scores = score_all_candidates(assignment, embeddings, fact, p)
-        zmax = scores.max()
-        lse = zmax + np.log(np.exp(scores - zmax).sum())
-        total += lse - scores[fact.entities[p]]
-    return float(total)
+    Rows are hole-major, as in hole_contexts: row p*B + b scores each
+    entity substituted at position p of fact b. The candidate sweep is one
+    matrix product against the entity rows' active prefix.
+    """
+    used = X.shape[2] * X.shape[3]
+    return hole_contexts(assignment.codes, X) @ embeddings.entity_matrix[:, :used].T
 
 
 @dataclass
@@ -137,12 +119,12 @@ def _grad_arity_group(
     """Accumulate the loss gradient of one same-arity group; return its loss.
 
     Each of the B facts yields n queries, one per entity position (hole).
-    Their contexts are stacked hole-major into one (n*B, m*ds) matrix C,
-    so the candidate sweep is one matmul Z = C @ E.T over the used entity
-    columns. The softmax runs in place on Z, with one exp pass over row
-    blocks of at most _SOFTMAX_BLOCK_BYTES; Z then holds G = softmax -
-    onehot(truth), the loss gradient with respect to the candidate
-    scores. The hole gradient G.T @ C and the softmax-weighted candidate
+    Their contexts are stacked hole-major into one (n*B, m*ds) matrix C
+    (hole_contexts), so the candidate sweep is one matmul Z = C @ E.T over
+    the used entity columns. The softmax runs in place on Z, with one exp
+    pass over row blocks of at most _SOFTMAX_BLOCK_BYTES; Z then holds
+    G = softmax - onehot(truth), the loss gradient with respect to the
+    candidate scores. The hole gradient G.T @ C and the softmax-weighted candidate
     mixture G @ E are one matmul each. The remaining
     participants of each query get their gradient from contexts in which
     the hole holds that mixture (multilinearity), scattered into the
@@ -155,9 +137,7 @@ def _grad_arity_group(
     E_used = embeddings.entity_matrix[:, :used]
     ent_grad = grads.entity[:, :used]
     rel_grad = grads.relation[:, :used]
-    C = np.empty((n * B, used), dtype=X.dtype)
-    for p in range(n):
-        C[p * B : (p + 1) * B] = kernels.context_batch(codes, X, p + 1).reshape(B, used)
+    C = hole_contexts(codes, X)
     Z = C @ E_used.T
     rows = np.arange(n * B)
     true_ids = entity_ids.T.ravel()
@@ -208,25 +188,6 @@ def grad_batch(
         rel_ids, ent_ids = batch_ids(group)
         loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
     return grads, loss
-
-
-def batch_loss(
-    architecture: ArchitectureSet,
-    embeddings: SegmentedEmbeddings,
-    facts: Sequence[Fact],
-) -> float:
-    """Summed multi-class log loss over a batch (no gradients)."""
-    total = 0.0
-    for arity, group in sorted(group_by_arity(facts).items()):
-        assignment = architecture[arity]
-        rel_ids, ent_ids = batch_ids(group)
-        X = pack_participants(embeddings, rel_ids, ent_ids)
-        rows = np.arange(len(group))
-        for p in range(arity):
-            Z = candidate_scores(assignment, embeddings, X, p)
-            lse = _logsumexp_rows(Z)
-            total += float((lse - Z[rows, ent_ids[:, p]]).sum())
-    return total
 
 
 def grad_embeddings_mc(
@@ -391,15 +352,3 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     )
     architecture = load_architecture(directory / architecture_file)
     return embeddings, architecture, meta
-
-
-def round_trip_float32(embeddings: SegmentedEmbeddings) -> SegmentedEmbeddings:
-    """Embeddings as they will read back from a float32 checkpoint.
-
-    Trained embeddings are float32 already, so for them this is a copy.
-    """
-    return SegmentedEmbeddings(
-        embeddings.entity_matrix.astype(np.float32),
-        embeddings.relation_matrix.astype(np.float32),
-        embeddings.segment_count,
-    )

@@ -137,18 +137,15 @@ def sample_architectures(
 
 def derive_final(distribution: ArchitectureDistribution) -> ArchitectureSet:
     """Most probable op per block; exact ties prefer 0, then +1, then -1."""
-    assignments = {}
-    for n in distribution.arities():
-        theta = distribution.thetas[n]
-        K = theta.shape[1]
-        codes = np.empty(K, dtype=np.int8)
-        for k in range(K):
-            column = theta[:, k]
-            top = column.max()
-            row = next(r for r in _TIE_ORDER if column[r] == top)
-            codes[k] = OP_CODES[row]
-        assignments[n] = CoreAssignment(n, distribution.segment_count, codes)
-    return ArchitectureSet(assignments)
+    order = list(_TIE_ORDER)  # argmax takes the first maximum in this order
+    return ArchitectureSet({
+        n: CoreAssignment(
+            n,
+            distribution.segment_count,
+            OP_CODES[order][np.argmax(distribution.thetas[n][order], axis=0)],
+        )
+        for n in distribution.arities()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +161,20 @@ def validation_utility(
 ) -> tuple[np.ndarray, float]:
     """Per-fact utilities (mean reciprocal filtered rank over positions).
 
-    Returns the per-fact array in input order plus its mean.
+    Returns the per-fact array in input order plus its mean. Each fact's
+    reciprocal ranks are summed in position order, one position at a time
+    across all facts, so every sum rounds as a per-fact loop would.
     """
     if not facts:
         raise DataError("validation batch is empty")
-    ranks = iter(query_ranks(embeddings, architecture, facts, filter_index, tie_policy))
+    recips = 1.0 / np.array(query_ranks(embeddings, architecture, facts, filter_index, tie_policy))
+    arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
+    first = np.cumsum(arities) - arities
     utilities = np.zeros(len(facts))
-    for i, fact in enumerate(facts):
-        recip = 0.0
-        for _ in range(fact.arity):
-            recip += 1.0 / next(ranks)
-        utilities[i] = recip / fact.arity
+    for p in range(int(arities.max())):
+        has = arities > p
+        utilities[has] += recips[first[has] + p]
+    utilities /= arities
     return utilities, float(utilities.mean())
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from narytd import cli
-from narytd.blocks import load_architecture
+from narytd.blocks import load_architecture, memorization_model
 from narytd.cli import main
 from narytd.data import load_dataset_dir
-from narytd.model import load_checkpoint
+from narytd.model import load_checkpoint, save_checkpoint
 from narytd.search import load_theta
 
 
@@ -257,6 +257,23 @@ class TestMalformedArtifacts:
         bad.write_text('{"segment_count": 2,')
         self.assert_data_error(run("inspect-arch", bad), capsys, "bad_arch.json")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("code", 0.5), ("code", 300), ("code", "x"), ("code", True),
+         ("segment_count", "two"), ("max_arity", 2.5)],
+    )
+    def test_malformed_architecture_field(self, field, value, tmp_path, capsys):
+        # JSON integers only: no truncation, no overflow, no bool taken as 1
+        doc = {"segment_count": 2, "max_arity": 2, "2": [0] * 8}
+        if field == "code":
+            doc["2"][3] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc))
+        rc = run("inspect-arch", path)
+        self.assert_data_error(rc, capsys, "block 3" if field == "code" else repr(field))
+
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad_cfg.json"
         bad.write_text("entities = 30\n")
@@ -381,6 +398,21 @@ class TestMetricsArtifact:
         stored = json.loads(metrics_path.read_text())
         assert stored == printed
         assert stored["split"] == "test"
+
+    def test_eval_document_keys(self, tmp_path, capsys):
+        # a memorization model of the one fact ranks it first at both holes
+        data = tmp_path / "d"
+        data.mkdir()
+        write_facts(data / "train.tsv", ["r\ta\tb"])
+        write_facts(data / "valid.tsv", [])
+        write_facts(data / "test.tsv", ["r\ta\tb"])
+        dataset = load_dataset_dir(data, strict_vocabulary=False)
+        save_checkpoint(tmp_path / "ckpt", *memorization_model(dataset.train, dataset.vocabulary))
+        assert run("eval", "--checkpoint", tmp_path / "ckpt", "--data", data,
+                   "--split", "test") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"split", "mrr", "hits1", "hits3", "hits10", "queries", "wall_seconds"}
+        assert doc["split"] == "test" and doc["mrr"] == 1.0 and doc["queries"] == 2
 
 
 JF17K4_DIR = os.environ.get("NARYTD_JF17K4_DIR", "")

@@ -8,6 +8,7 @@ from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
     memorization_model,
+    pack_participants,
     preset_set,
     score_fact,
     zero_assignment,
@@ -24,12 +25,12 @@ from narytd.errors import DataError
 from narytd.evaluation import (
     aggregate,
     evaluate,
-    evaluate_with_timing,
     filtered_rank,
     hits_at,
     mrr,
     query_ranks,
 )
+from narytd.model import candidate_scores
 
 
 class TestFilteredRank:
@@ -183,9 +184,8 @@ class TestEvaluate:
         target = ds.test[0]
         base_ranks = query_ranks(emb, arch, [target], fi)
         # corrupt position 0 with the highest-scoring other entity, declare it known-true
-        from narytd.model import score_all_candidates
-
-        scores = score_all_candidates(arch[2], emb, target, 0)
+        X = pack_participants(emb, [target.relation], [target.entities])
+        scores = candidate_scores(arch[2], emb, X)[0]  # row 0: hole 0 of the one fact
         rival = int(np.argmax(np.where(np.arange(10) == target.entities[0], -np.inf, scores)))
         corrupt = Fact(target.relation, (rival,) + target.entities[1:])
         augmented = Dataset(
@@ -194,9 +194,12 @@ class TestEvaluate:
         new_ranks = query_ranks(emb, arch, [target], build_filter_index(augmented))
         assert all(n <= b for n, b in zip(new_ranks, base_ranks))
 
-    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 5, 8 * 7 * 1000])
+    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 5, 8 * 7 * 3 * 5, 8 * 7 * 1000])
     def test_chunked_ranks_equal_brute_force(self, score_bytes, monkeypatch):
-        # 7 entities: chunks of 1 row, 5 rows (a short last chunk) and all rows
+        # 7 entities and arity groups of 26 (n=2) and 34 (n=3) facts; a
+        # chunk's stacked matrix takes 8 * n * 7 bytes per fact, so the
+        # groups are ranked in chunks of 1 fact; of 2 and 1; of 7 and 5
+        # facts, each group ending in a short chunk; and whole
         monkeypatch.setattr(evaluation, "_SCORE_BYTES", score_bytes)
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
@@ -290,12 +293,3 @@ class TestEvaluate:
         )
         with pytest.raises(DataError):
             evaluate(emb, arch, ds, "test")
-
-    def test_timing_doc_fields(self):
-        vocab = Vocabulary(["a", "b"], ["r"])
-        facts = [Fact(0, (0, 1))]
-        emb, arch = memorization_model(facts, vocab)
-        ds = Dataset(vocab, facts, [], facts)
-        doc = evaluate_with_timing(emb, arch, ds, "test")
-        assert set(doc) == {"split", "mrr", "hits1", "hits3", "hits10", "queries", "wall_seconds"}
-        assert doc["split"] == "test" and doc["mrr"] == 1.0

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from narytd import kernels, model
-from narytd.blocks import ArchitectureSet, CoreAssignment, pack_participants, preset_set, zero_assignment
+from narytd.blocks import (
+    ArchitectureSet,
+    CoreAssignment,
+    pack_participants,
+    preset_set,
+    score_fact,
+    zero_assignment,
+)
 from narytd.data import Fact
 from narytd.embeddings import SegmentedEmbeddings, init_embeddings
 from narytd.errors import DataError
@@ -14,14 +21,11 @@ from narytd.model import (
     GradientAccumulator,
     adam_step,
     batch_ids,
-    batch_loss,
+    candidate_scores,
     grad_batch,
     grad_embeddings_mc,
     load_checkpoint,
-    multiclass_log_loss,
-    round_trip_float32,
     save_checkpoint,
-    score_all_candidates,
 )
 from narytd.search import ArchitectureDistribution
 
@@ -114,59 +118,57 @@ class TestComputeDtype:
             assert array.dtype == np.float32
 
 
-class TestScoreAllCandidates:
-    def test_true_entry_matches_score_fact(self):
-        from narytd.blocks import score_fact
+class TestCandidateScores:
+    """Every hole of a batch, rows hole-major: row p*B + b is fact b's hole p."""
 
+    def test_true_entry_matches_score_fact(self):
         rng = np.random.default_rng(0)
         emb, arch = random_model(rng)
-        fact = Fact(1, (0, 3, 2))
+        facts = [Fact(1, (0, 3, 2)), Fact(0, (4, 4, 1)), Fact(1, (2, 0, 3))]
+        Z = candidate_scores(arch[3], emb, pack_participants(emb, *batch_ids(facts)))
+        assert Z.shape == (3 * len(facts), emb.entity_count)
         for p in range(3):
-            scores = score_all_candidates(arch[3], emb, fact, p)
-            assert scores[fact.entities[p]] == pytest.approx(
-                score_fact(arch[3], emb, fact), rel=1e-10
-            )
+            for b, fact in enumerate(facts):
+                assert Z[p * len(facts) + b, fact.entities[p]] == pytest.approx(
+                    score_fact(arch[3], emb, fact), rel=1e-10
+                )
 
-    def test_zero_assignment_gives_zero_vector(self):
+    def test_zero_assignment_gives_zeros(self):
         rng = np.random.default_rng(1)
         emb, _ = random_model(rng)
-        scores = score_all_candidates(zero_assignment(2, 2), emb, Fact(0, (0, 1)), 0)
-        assert np.all(scores == 0.0)
+        facts = [Fact(0, (0, 1)), Fact(1, (3, 2))]
+        Z = candidate_scores(zero_assignment(2, 2), emb, pack_participants(emb, *batch_ids(facts)))
+        assert Z.shape == (4, emb.entity_count) and np.all(Z == 0.0)
 
     def test_matches_per_candidate_loop(self):
-        from narytd.blocks import score_fact
-
         rng = np.random.default_rng(2)
         emb, arch = random_model(rng, n_e=3)
-        fact = Fact(0, (0, 2))
+        facts = [Fact(0, (0, 2)), Fact(1, (1, 1)), Fact(0, (2, 0))]
+        Z = candidate_scores(arch[2], emb, pack_participants(emb, *batch_ids(facts)))
         for p in range(2):
-            fast = score_all_candidates(arch[2], emb, fact, p)
-            for e in range(3):
-                entities = list(fact.entities)
-                entities[p] = e
-                slow = score_fact(arch[2], emb, Fact(0, tuple(entities)))
-                assert fast[e] == pytest.approx(slow, rel=1e-10, abs=1e-12)
-
-    def test_position_out_of_range(self):
-        rng = np.random.default_rng(3)
-        emb, arch = random_model(rng)
-        with pytest.raises(DataError):
-            score_all_candidates(arch[2], emb, Fact(0, (0, 1)), 2)
+            for b, fact in enumerate(facts):
+                for e in range(3):
+                    entities = list(fact.entities)
+                    entities[p] = e
+                    slow = score_fact(arch[2], emb, Fact(fact.relation, tuple(entities)))
+                    assert Z[p * len(facts) + b, e] == pytest.approx(slow, rel=1e-10, abs=1e-12)
 
 
 class TestMulticlassLogLoss:
+    """The summed loss grad_batch returns."""
+
     def test_zero_assignment_uniform_loss(self):
         rng = np.random.default_rng(4)
         emb, _ = random_model(rng, n_e=7)
         for n in (2, 3):
-            fact = Fact(0, tuple(range(n)))
-            loss = multiclass_log_loss(zero_assignment(n, 2), emb, fact)
+            arch = ArchitectureSet({k: zero_assignment(k, 2) for k in range(2, n + 1)})
+            _, loss = grad_batch(arch, emb, [Fact(0, tuple(range(n)))])
             assert loss == pytest.approx(n * np.log(7), rel=1e-12)
 
     def test_single_candidate_zero_loss(self):
         rng = np.random.default_rng(5)
         emb, arch = random_model(rng, n_e=1)
-        assert multiclass_log_loss(arch[2], emb, Fact(0, (0, 0))) == pytest.approx(0.0)
+        assert grad_batch(arch, emb, [Fact(0, (0, 0))])[1] == pytest.approx(0.0)
 
     def test_hand_computed_toy(self):
         # d=2, M=2, one +1 block at (0,0,0): score = r[0]*e1[0]*e2[0]
@@ -181,7 +183,7 @@ class TestMulticlassLogLoss:
             -2.0 + np.log(np.exp(2.0) + np.exp(4.0) + np.exp(-2.0))
             - 2.0 + np.log(np.exp(1.0) + np.exp(2.0) + np.exp(-1.0))
         )
-        got = multiclass_log_loss(assignment, emb, fact)
+        _, got = grad_batch(ArchitectureSet({2: assignment}), emb, [fact])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_loss_nonnegative(self):
@@ -189,13 +191,11 @@ class TestMulticlassLogLoss:
         emb, arch = random_model(rng)
         for _ in range(20):
             fact = Fact(int(rng.integers(2)), tuple(int(x) for x in rng.integers(5, size=2)))
-            assert multiclass_log_loss(arch[2], emb, fact) >= 0.0
+            assert grad_batch(arch, emb, [fact])[1] >= 0.0
 
 
 def brute_loss(architecture, embeddings, facts):
     """Independent loss path: per-candidate score_fact loop, scalar logsumexp."""
-    from narytd.blocks import score_fact
-
     total = 0.0
     for fact in facts:
         assignment = architecture[fact.arity]
@@ -237,7 +237,6 @@ class TestGradients:
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3)), Fact(0, (4, 0, 1))]
         _, loss = grad_batch(arch, emb, facts)
         assert loss == pytest.approx(brute_loss(arch, emb, facts), rel=1e-10)
-        assert batch_loss(arch, emb, facts) == pytest.approx(loss, rel=1e-10)
 
     def test_zero_assignment_zero_gradient(self):
         rng = np.random.default_rng(9)
@@ -406,9 +405,6 @@ class TestCheckpoints:
         assert arch2 == arch
         assert meta["final_valid_mrr"] == 0.5
         assert meta["n_e"] == 4 and meta["dimension"] == 8
-        expected = round_trip_float32(emb)
-        assert np.array_equal(back.entity_matrix, expected.entity_matrix)
-        assert np.array_equal(back.relation_matrix, expected.relation_matrix)
         # float32 embeddings come back unchanged, as writable float32
         for got, saved in ((back.entity_matrix, emb.entity_matrix),
                            (back.relation_matrix, emb.relation_matrix)):

@@ -5,6 +5,7 @@ from narytd.blocks import ArchitectureSet, CoreAssignment, zero_assignment
 from narytd.data import Dataset, Fact, Vocabulary, build_filter_index
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
+from narytd.evaluation import query_ranks
 from narytd.search import (
     ArchitectureDistribution,
     AsngState,
@@ -169,6 +170,17 @@ class TestDeriveFinal:
         dist = ArchitectureDistribution({2: theta}, 2)
         assert np.all(derive_final(dist)[2].codes == 1)
 
+    @pytest.mark.parametrize(
+        "column, code",
+        [([0.2, 0.4, 0.4], 0), ([0.4, 0.2, 0.4], 1)],
+        ids=["zero-ties-plus", "plus-ties-minus"],
+    )
+    def test_tie_order(self, column, code):
+        # a 0/+1 tie drops the block; a +1/-1 tie takes +1
+        theta = np.tile(np.array(column)[:, None], (1, 8))
+        dist = ArchitectureDistribution({2: theta}, 2)
+        assert np.all(derive_final(dist)[2].codes == code)
+
     def test_idempotent(self):
         dist = init_theta(3, 2)
         rng = np.random.default_rng(0)
@@ -218,6 +230,30 @@ class TestValidationUtility:
     def test_empty_batch_errors(self):
         with pytest.raises(DataError):
             validation_utility(None, None, [], None)
+
+    def test_equals_per_fact_loop_bitwise(self):
+        # mixed arities in mixed order: each utility rounds as the per-fact
+        # sum of reciprocal ranks in position order, divided by the arity
+        rng = np.random.default_rng(2)
+        n_e = 30
+        vocab = Vocabulary([f"e{i}" for i in range(n_e)], ["r0", "r1"])
+        facts = [Fact(int(rng.integers(2)), tuple(int(x) for x in rng.integers(n_e, size=n)))
+                 for n in rng.integers(2, 5, size=300)]
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 6)), rng.normal(size=(2, 6)), 3)
+        arch = ArchitectureSet({
+            n: CoreAssignment(n, 3, rng.choice([-1, 0, 1], size=min(n, 3) ** (n + 1)))
+            for n in (2, 3, 4)
+        })
+        fi = build_filter_index(Dataset(vocab, facts, [], []))
+        ranks = iter(query_ranks(emb, arch, facts, fi))
+        want = np.empty(len(facts))
+        for i, fact in enumerate(facts):
+            recip = 0.0
+            for _ in range(fact.arity):
+                recip += 1.0 / next(ranks)
+            want[i] = recip / fact.arity
+        utilities, mean = validation_utility(emb, arch, facts, fi)
+        assert np.array_equal(utilities, want) and mean == float(want.mean())
 
 
 def planted_dataset():
