@@ -16,7 +16,6 @@ from .blocks import (
     preset_set,
     save_architecture,
     score_fact,
-    validate,
 )
 from .data import (
     Dataset,

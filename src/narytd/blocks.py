@@ -1,15 +1,18 @@
-"""Block-sparse core tensors: assignments, presets, validation, scoring.
+"""Block-sparse core tensors: assignments, presets, scoring, file i/o.
 
 For arity n and segment count M, the score couples the participants'
 first m = min(n, M) segments through K = m**(n+1) diagonal blocks, each
 carrying a code in {-1, 0, +1}. Block k corresponds to the multi-index
 (j_r, j_1, ..., j_n) in row-major order with j_r slowest (0-based here;
 `codes[k]` multiplies the product of the selected segments).
+
+Codes are checked once, when a CoreAssignment is constructed: a code
+vector of the wrong length or with a value outside {-1, 0, +1} raises
+DataError there, so every assignment that exists is well formed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -17,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .data import Fact, Vocabulary, load_json_object
+from .data import Fact, Vocabulary, int_fields, load_json_object, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -43,7 +46,21 @@ class CoreAssignment:
     codes: np.ndarray
 
     def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int8)
+        if self.arity < 2 or self.segment_count < 1:
+            raise DataError(f"need arity >= 2, segments >= 1: {self.arity}, {self.segment_count}")
+        codes = np.asarray(self.codes)
+        if codes.shape != (self.block_total,):
+            raise DataError(
+                f"expected {self.block_total} block codes for arity {self.arity} with "
+                f"{self.segment_count} segments, got shape {codes.shape}"
+            )
+        # the values as given: the int8 cast would wrap 300 to 44 and truncate 0.5 to 0
+        bad = np.flatnonzero(~((codes == -1) | (codes == 0) | (codes == 1)))
+        if bad.size:
+            k = int(bad[0])
+            value = codes.tolist()[k]
+            raise DataError(f"arity {self.arity}: code {value!r} at block {k} not in {{-1, 0, 1}}")
+        self.codes = codes.astype(np.int8, copy=False)
 
     @property
     def m(self) -> int:
@@ -65,27 +82,6 @@ class CoreAssignment:
 
     def copy(self) -> "CoreAssignment":
         return CoreAssignment(self.arity, self.segment_count, self.codes.copy())
-
-
-def validate(assignment: CoreAssignment) -> list[str]:
-    """Structural violations of an assignment; empty list means ok."""
-    violations: list[str] = []
-    if assignment.arity < 2:
-        violations.append(f"arity must be >= 2, got {assignment.arity}")
-    if assignment.segment_count < 1:
-        violations.append(f"segment count must be >= 1, got {assignment.segment_count}")
-    if violations:
-        return violations
-    expected = assignment.block_total
-    if assignment.codes.ndim != 1 or len(assignment.codes) != expected:
-        violations.append(
-            f"expected {expected} block codes for arity {assignment.arity} "
-            f"with {assignment.segment_count} segments, got {len(assignment.codes)}"
-        )
-    bad = np.nonzero(~np.isin(assignment.codes, (-1, 0, 1)))[0]
-    for k in bad:
-        violations.append(f"code {int(assignment.codes[k])} at block {int(k)} not in {{-1, 0, 1}}")
-    return violations
 
 
 @dataclass
@@ -121,12 +117,6 @@ class ArchitectureSet:
 
     def arities(self) -> list[int]:
         return sorted(self.assignments)
-
-    def validate_all(self) -> list[str]:
-        out = []
-        for n in self.arities():
-            out += [f"arity {n}: {v}" for v in validate(self.assignments[n])]
-        return out
 
     def copy(self) -> "ArchitectureSet":
         return ArchitectureSet({n: a.copy() for n, a in self.assignments.items()})
@@ -287,13 +277,7 @@ def architecture_to_doc(architecture: ArchitectureSet) -> dict:
 
 def architecture_from_doc(doc: Mapping) -> ArchitectureSet:
     """Architecture set of a JSON document; malformed shapes or codes raise DataError."""
-    try:
-        segment_count, max_arity = doc["segment_count"], doc["max_arity"]
-    except KeyError as exc:
-        raise DataError(f"architecture document missing field {exc}") from None
-    for name, value in (("segment_count", segment_count), ("max_arity", max_arity)):
-        if type(value) is not int:  # rejects bool, float and str alike
-            raise DataError(f"architecture field {name!r} must be an integer, got {value!r}")
+    segment_count, max_arity = int_fields(doc, ("segment_count", "max_arity"), "architecture")
     assignments = {}
     for n in range(2, max_arity + 1):
         key = str(n)
@@ -303,23 +287,14 @@ def architecture_from_doc(doc: Mapping) -> ArchitectureSet:
         if not isinstance(codes, list):
             raise DataError(f"codes for arity {n} must be a JSON array, got {codes!r}")
         for k, code in enumerate(codes):
-            if type(code) is not int or code not in (-1, 0, 1):
-                raise DataError(
-                    f"arity {n}: code {code!r} at block {k} is not an integer in {{-1, 0, 1}}"
-                )
-        assignment = CoreAssignment(n, segment_count, np.array(codes, dtype=np.int8))
-        problems = validate(assignment)
-        if problems:
-            raise DataError(f"invalid assignment for arity {n}: " + "; ".join(problems))
-        assignments[n] = assignment
+            if type(code) is not int:  # rejects bool and float, which numpy would take
+                raise DataError(f"arity {n}: code {code!r} at block {k} is not a JSON integer")
+        assignments[n] = CoreAssignment(n, segment_count, codes)
     return ArchitectureSet(assignments)
 
 
 def save_architecture(path: str | Path, architecture: ArchitectureSet) -> None:
-    Path(path).write_text(
-        json.dumps(architecture_to_doc(architecture), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, architecture_to_doc(architecture))
 
 
 def load_architecture(path: str | Path) -> ArchitectureSet:

@@ -33,11 +33,14 @@ from .data import (
     HOLDOUT_FRACTION,
     Dataset,
     build_dataset,
+    build_filter_index,
     load_dataset_dir,
     load_json_object,
     parse_facts_file,
     split_stats,
     write_dataset_dir,
+    write_file,
+    write_json,
 )
 from .errors import DataError, NumericError
 from .evaluation import TIE_POLICIES, evaluate
@@ -103,10 +106,6 @@ def _print_doc(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _write_doc(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _effective(args: argparse.Namespace, defaults: dict = RUN_DEFAULTS) -> dict:
     """flag > config file > default, for the settings this command's flags set."""
     file_cfg = load_json_object(args.config, "config file") if args.config else {}
@@ -162,6 +161,16 @@ def _load_data(cfg: dict, path: str) -> Dataset:
     return Dataset(dataset.vocabulary, train, keep(dataset.valid), keep(dataset.test))
 
 
+def _write_dataset(out: Path, dataset: Dataset, cfg: dict) -> int:
+    """The dataset's TSVs, stats.json and config.json under `out`; prints the stats."""
+    write_dataset_dir(out, dataset)
+    stats = split_stats(dataset)
+    write_json(out / "stats.json", stats)
+    write_json(out / "config.json", cfg)
+    _print_doc(stats)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,13 +194,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         seed=cfg["seed"],
         strict_vocabulary=cfg["strict"],
     )
-    out = Path(args.out)
-    write_dataset_dir(out, dataset)
-    stats = split_stats(dataset)
-    _write_doc(out / "stats.json", stats)
-    _write_doc(out / "config.json", cfg)
-    _print_doc(stats)
-    return 0
+    return _write_dataset(Path(args.out), dataset, cfg)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -217,14 +220,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         max_draws=int(cfg["max_draws"]),
     )
     result = generate_planted(spec)
-    out = Path(args.out)
-    write_dataset_dir(out, result.dataset)
-    save_architecture(out / "truth.json", result.truth)
-    stats = split_stats(result.dataset)
-    _write_doc(out / "stats.json", stats)
-    _write_doc(out / "config.json", cfg)
-    _print_doc(stats)
-    return 0
+    save_architecture(Path(args.out) / "truth.json", result.truth)
+    return _write_dataset(Path(args.out), result.dataset, cfg)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -235,11 +232,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     result = search_loop(dataset, search_config, train_config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_architecture(out / "architecture.json", result.architecture)
     save_theta(out / "theta.json", result.distribution)
-    (out / "trace.jsonl").write_text(result.trace.to_jsonl(), encoding="utf-8")
-    _write_doc(out / "config.json", cfg)
+    write_file(out / "trace.jsonl", result.trace.to_jsonl())
+    write_json(out / "config.json", cfg)
     summary = {
         "iterations": len(result.trace),
         "theta_entropy": result.distribution.entropy(),
@@ -270,18 +266,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     architecture = _resolve_architecture(cfg, dataset)
     config = _build(TrainConfig, cfg)
     start = time.perf_counter()
-    result = train_fixed(architecture, dataset, config, tie_policy=cfg["tie_policy"])
+    filter_index = build_filter_index(dataset) if dataset.valid else None
+    result = train_fixed(
+        architecture, dataset, config, filter_index=filter_index, tie_policy=cfg["tie_policy"]
+    )
     out = Path(args.out)
     extra = {"wall_seconds": time.perf_counter() - start}
     # result.embeddings are float32, the values the checkpoint stores, so
     # meta records the metrics of the artifact on disk
     if dataset.valid:
-        extra["final_valid_mrr"] = evaluate(
-            result.embeddings, architecture, dataset, "valid", tie_policy=cfg["tie_policy"]
-        ).mrr
+        extra["final_valid_mrr"] = result.final_valid_mrr
+        if extra["final_valid_mrr"] is None:  # training did not check its last epoch
+            extra["final_valid_mrr"] = evaluate(
+                result.embeddings, architecture, dataset, "valid", filter_index, cfg["tie_policy"]
+            ).mrr
     save_checkpoint(out, result.embeddings, architecture, config=cfg, extra_meta=extra)
-    _write_doc(out / "config.json", cfg)
-    _write_doc(
+    write_json(out / "config.json", cfg)
+    write_json(
         out / "loss_history.json",
         {
             "epochs": [
@@ -314,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     doc = metrics.to_doc(split=args.split, wall_seconds=time.perf_counter() - start)
     _print_doc(doc)
     if args.out:
-        _write_doc(Path(args.out), doc)
+        write_json(args.out, doc)
     return 0
 
 

@@ -3,16 +3,20 @@
 Canonical input is one fact per line, `relation<TAB>e1<TAB>...<TAB>en`
 with n >= 2, UTF-8, `#` starting a comment line. A dataset directory
 holds `train.tsv`, optional `valid.tsv`, and `test.tsv`.
+
+Every artifact is written atomically by write_file (write_json for JSON),
+and the integer fields of every JSON artifact are read by int_fields.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -195,6 +199,41 @@ def load_json_object(path: str | Path, what: str) -> dict:
     return doc
 
 
+def int_fields(doc: Mapping, names: Sequence[str], what: str) -> tuple[int, ...]:
+    """The named fields of a JSON document `what`; DataError unless each
+    is present and a JSON integer (a bool, float or string is not)."""
+    for name in names:
+        if name not in doc:
+            raise DataError(f"{what} missing field {name!r}")
+        if type(doc[name]) is not int:
+            raise DataError(f"{what} field {name!r} must be an integer, got {doc[name]!r}")
+    return tuple(doc[name] for name in names)
+
+
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Replace the file at `path` by `data` (a str as UTF-8), creating its directory.
+
+    A sibling temporary file, made by open() so it gets the umask-derived
+    mode, is moved over the target by os.replace, and removed on any
+    failure. No fsync: this guards against a failed process, not power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """write_file of a JSON document: sorted keys, indent 2, a final newline."""
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def serialize_facts(facts: Iterable[RawFact]) -> str:
     """Canonical TSV for raw facts; inverse of parse_facts up to comments."""
     lines = ["\t".join((rel,) + ents) for rel, ents in facts]
@@ -345,15 +384,12 @@ def load_dataset_dir(
 def write_dataset_dir(directory: str | Path, dataset: Dataset) -> None:
     """Write canonical train/valid/test TSVs for a dataset."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     vocab = dataset.vocabulary
     for name in ("train", "valid", "test"):
         facts = dataset.split(name)
         if name == "valid" and not facts:
             continue
-        (directory / f"{name}.tsv").write_text(
-            serialize_facts(facts_to_raw(facts, vocab)), encoding="utf-8"
-        )
+        write_file(directory / f"{name}.tsv", serialize_facts(facts_to_raw(facts, vocab)))
 
 
 def split_stats(dataset: Dataset) -> dict:

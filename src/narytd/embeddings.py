@@ -36,7 +36,7 @@ class SegmentedEmbeddings:
             raise DataError("embedding matrices must be 2-d")
         if self.entity_matrix.shape[1] != self.relation_matrix.shape[1]:
             raise DataError("entity and relation dimensions differ")
-        if self.dimension % self.segment_count != 0:
+        if self.segment_count < 1 or self.dimension % self.segment_count != 0:
             raise DataError(
                 f"dimension {self.dimension} not divisible by "
                 f"segment count {self.segment_count}"

@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count
-from .data import Dataset, Fact, FilterIndex, build_filter_index, load_json_object
+from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
+from .data import write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError
 from .evaluation import query_ranks
@@ -58,7 +59,8 @@ class ArchitectureDistribution:
                 raise DataError(
                     f"theta for arity {n} must be 3 x {expected}, got {theta.shape}"
                 )
-            if np.any(theta < 0) or np.any(np.abs(theta.sum(axis=0) - 1.0) > 1e-9):
+            # theta >= 0 is False for NaN, and an infinite entry fails one of the two tests
+            if not np.all(theta >= 0) or np.any(np.abs(theta.sum(axis=0) - 1.0) > 1e-9):
                 raise DataError(f"theta columns for arity {n} are not probability vectors")
             self.thetas[n] = theta
 
@@ -84,9 +86,6 @@ class ArchitectureDistribution:
             one_hot[rows, np.arange(K)] = 1.0
             stats[n] = one_hot
         return ArchitectureSet(assignments), SufficientStatistic(stats)
-
-    def sample(self, rng: np.random.Generator) -> ArchitectureSet:
-        return self.sample_with_stats(rng)[0]
 
     def entropy(self) -> float:
         """Mean per-block entropy (nats) across all arities."""
@@ -275,7 +274,9 @@ def asng_update(
     """Natural-gradient step with adaptive scale; keeps columns on the simplex.
 
     After the step every entry is clipped to [THETA_FLOOR, 1] and each
-    column renormalized to sum exactly 1. Mutates and returns its inputs.
+    column renormalized to sum 1; an entry the renormalization took below
+    THETA_FLOOR is raised back to it, so a column's sum stays within
+    3 * THETA_FLOOR of 1. Mutates and returns its inputs.
     """
     delta = state.delta_init / state.trust
     dim = state.signal.shape[0]
@@ -288,6 +289,7 @@ def asng_update(
         theta += step * direction[n]
         np.clip(theta, THETA_FLOOR, 1.0, out=theta)
         theta *= 1.0 / theta.sum(axis=0)
+        np.maximum(theta, THETA_FLOOR, out=theta)
     signal = state.signal
     signal *= 1.0 - beta
     signal += (np.sqrt(beta * (2.0 - beta)) / pnorm) * normalized
@@ -441,11 +443,7 @@ def theta_to_doc(distribution: ArchitectureDistribution) -> dict:
 
 
 def theta_from_doc(doc: Mapping) -> ArchitectureDistribution:
-    try:
-        segment_count = int(doc["segment_count"])
-        max_arity = int(doc["max_arity"])
-    except KeyError as exc:
-        raise DataError(f"theta document missing field {exc}") from None
+    segment_count, max_arity = int_fields(doc, ("segment_count", "max_arity"), "theta document")
     thetas = {}
     for n in range(2, max_arity + 1):
         key = str(n)
@@ -456,10 +454,7 @@ def theta_from_doc(doc: Mapping) -> ArchitectureDistribution:
 
 
 def save_theta(path: str | Path, distribution: ArchitectureDistribution) -> None:
-    Path(path).write_text(
-        json.dumps(theta_to_doc(distribution), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, theta_to_doc(distribution))
 
 
 def load_theta(path: str | Path) -> ArchitectureDistribution:

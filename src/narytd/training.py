@@ -56,7 +56,9 @@ class TrainResult:
 
     @property
     def final_valid_mrr(self) -> float | None:
-        return self.valid_mrr_history[-1][1] if self.valid_mrr_history else None
+        """Validation MRR of the returned embeddings; None unless the last epoch was checked."""
+        last = self.valid_mrr_history[-1] if self.valid_mrr_history else None
+        return last[1] if last and last[0] == self.history[-1].epoch else None
 
 
 def batch_rng(seed: int) -> np.random.Generator:

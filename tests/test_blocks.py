@@ -14,7 +14,6 @@ from narytd.blocks import (
     preset_set,
     save_architecture,
     score_fact,
-    validate,
     zero_assignment,
 )
 from narytd.data import Fact, Vocabulary, build_dataset
@@ -184,19 +183,37 @@ class TestMemorizationModel:
 
 
 class TestValidate:
+    """CoreAssignment checks its codes when it is constructed."""
+
     def test_ok(self):
-        assert validate(preset("cp", 2, 2)) == []
+        assignment = CoreAssignment(2, 2, np.array([1, 0, -1, 0, 0, 1, 0, 0]))
+        assert assignment.codes.dtype == np.int8
+        assert assignment.codes.tolist() == [1, 0, -1, 0, 0, 1, 0, 0]
 
     def test_wrong_length_names_expected(self):
-        bad = CoreAssignment(2, 2, np.zeros(7, np.int8))
-        problems = validate(bad)
-        assert len(problems) == 1 and "8" in problems[0]
+        with pytest.raises(DataError, match="expected 8 block codes") as exc:
+            CoreAssignment(2, 2, np.zeros(7, np.int8))
+        assert "(7,)" in str(exc.value)
 
     def test_domain_violation_reports_index(self):
         codes = np.zeros(8, np.int8)
         codes[5] = 2
-        problems = validate(CoreAssignment(2, 2, codes))
-        assert len(problems) == 1 and "5" in problems[0]
+        with pytest.raises(DataError, match="code 2 at block 5"):
+            CoreAssignment(2, 2, codes)
+
+    @pytest.mark.parametrize("value", [300, 0.5, -1.5, np.nan])
+    def test_value_checked_before_int8_cast(self, value):
+        # an int8 cast would wrap 300 to 44 and truncate 0.5 to 0
+        codes = [0] * 8
+        codes[3] = value
+        with pytest.raises(DataError, match="at block 3") as exc:
+            CoreAssignment(2, 2, codes)
+        assert f"code {value!r} " in str(exc.value)
+
+    @pytest.mark.parametrize("arity, segments", [(1, 2), (2, 0)])
+    def test_shape_preconditions(self, arity, segments):
+        with pytest.raises(DataError, match="need arity >= 2"):
+            CoreAssignment(arity, segments, np.zeros(1, np.int8))
 
 
 class TestArchitectureSet:

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from narytd import cli
+from narytd import cli, data, evaluation, training
 from narytd.blocks import load_architecture, memorization_model
 from narytd.cli import main
 from narytd.data import load_dataset_dir
+from narytd.evaluation import evaluate
 from narytd.model import load_checkpoint, save_checkpoint
 from narytd.search import load_theta
 
@@ -105,7 +106,7 @@ class TestSynth:
         out = tmp_path / "s"
         assert run(*synth_args(out)) == 0
         truth = load_architecture(out / "truth.json")
-        assert truth.validate_all() == []
+        assert truth.arities() == [2]
 
     def test_bare_synth_uses_feasible_defaults(self, tmp_path, capsys):
         out = tmp_path / "bare"
@@ -131,7 +132,6 @@ class TestSearchCommand:
         assert run("search", "--data", planted_dir, "--out", out, "--dim", 8,
                    "--segments", 2, "--search-epochs", 0, "--seed", 1) == 0
         arch = load_architecture(out / "architecture.json")
-        assert arch.validate_all() == []
         assert np.all(arch[2].codes == 0)
         theta = load_theta(out / "theta.json")
         assert np.all(theta.thetas[2] == pytest.approx(1 / 3))
@@ -154,8 +154,7 @@ class TestSearchCommand:
                    "--segments", 2, "--search-epochs", 2, "--lambda", 2,
                    "--batch-size", 32, "--seed", 1) == 0
         summary = json.loads(capsys.readouterr().out)
-        arch = load_architecture(out / "architecture.json")
-        assert arch.validate_all() == []
+        load_architecture(out / "architecture.json")
         trace_lines = (out / "trace.jsonl").read_text().strip().splitlines()
         assert len(trace_lines) == summary["iterations"]
         assert all("utilities" in json.loads(line) for line in trace_lines)
@@ -183,6 +182,35 @@ class TestTrainEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mrr"] == pytest.approx(meta["final_valid_mrr"], abs=1e-9)
         assert doc["queries"] > 0 and "wall_seconds" in doc
+
+    @pytest.mark.parametrize("epochs, eval_every, rankings", [(3, 1, 3), (3, 2, 2), (3, 0, 1)])
+    def test_train_ranks_valid_once(self, epochs, eval_every, rankings, planted_dir, tmp_path,
+                                    capsys, monkeypatch):
+        # the last epoch's check is reused for final_valid_mrr; one filter index serves all
+        calls = {"query_ranks": 0, "build_filter_index": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "query_ranks", counted(evaluation, "query_ranks"))
+        index_builder = counted(data, "build_filter_index")
+        for module in (cli, training, evaluation):
+            monkeypatch.setattr(module, "build_filter_index", index_builder)
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", epochs, "--batch-size", 32,
+                   "--eval-every", eval_every, "--seed", 0) == 0
+        assert calls == {"query_ranks": rankings, "build_filter_index": 1}
+        monkeypatch.undo()
+        meta = json.loads((ckpt / "meta.json").read_text())
+        embeddings, architecture, _ = load_checkpoint(ckpt)
+        dataset = load_dataset_dir(planted_dir, strict_vocabulary=False)
+        assert meta["final_valid_mrr"] == evaluate(embeddings, architecture, dataset, "valid").mrr
 
     def test_missing_arity_fails_before_training(self, planted_dir, tmp_path, capsys):
         # architecture only covers arity 2; feed it 3-ary data
@@ -313,6 +341,23 @@ class TestMalformedArtifacts:
         rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
         self.assert_data_error(rc, capsys, "n_e")
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("n_e", 500.0, "'n_e'"), ("segment_count", "4", "'segment_count'"),
+         ("dimension", True, "'dimension'"), ("n_r", None, "'n_r'"),
+         ("segment_count", 0, "segment count 0"), ("architecture_file", 5, "'architecture_file'")],
+    )
+    def test_malformed_meta_field(self, field, value, name, planted_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta[field] = value
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
+        self.assert_data_error(rc, capsys, name)
+
     def test_checkpoint_without_matrices(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
@@ -398,6 +443,24 @@ class TestMetricsArtifact:
         stored = json.loads(metrics_path.read_text())
         assert stored == printed
         assert stored["split"] == "test"
+
+    def test_failed_write_keeps_the_old_document(self, planted_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        ckpt = tmp_path / "cm"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        metrics_path = tmp_path / "out" / "metrics.json"
+        metrics_path.parent.mkdir()
+        metrics_path.write_bytes(b"old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run("eval", "--checkpoint", ckpt, "--data", planted_dir, "--out", metrics_path)
+        assert metrics_path.read_bytes() == b"old\n"
+        assert os.listdir(metrics_path.parent) == ["metrics.json"]
 
     def test_eval_document_keys(self, tmp_path, capsys):
         # a memorization model of the one fact ranks it first at both holes

@@ -255,7 +255,7 @@ class TestGradients:
         for k, code in enumerate(arch[2].codes):
             theta[int(code) + 1, k] = 1.0
         dist = ArchitectureDistribution({2: theta}, 2)
-        sampled = dist.sample(np.random.default_rng(0))
+        sampled, _ = dist.sample_with_stats(np.random.default_rng(0))
         mc, mc_loss = grad_embeddings_mc([sampled], emb, facts)
         fixed, fixed_loss = grad_embeddings_mc([arch], emb, facts)
         assert np.array_equal(mc.entity, fixed.entity)

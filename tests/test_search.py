@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from narytd.blocks import ArchitectureSet, CoreAssignment, zero_assignment
 from narytd.data import Dataset, Fact, Vocabulary, build_filter_index
@@ -7,6 +10,7 @@ from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
 from narytd.evaluation import query_ranks
 from narytd.search import (
+    THETA_FLOOR,
     ArchitectureDistribution,
     AsngState,
     SearchConfig,
@@ -59,6 +63,13 @@ class TestInitTheta:
     def test_rejects_simplex_violation(self):
         with pytest.raises(DataError):
             ArchitectureDistribution({2: np.full((3, 8), 0.5)}, 2)
+
+    @pytest.mark.parametrize("column", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [np.nan] * 3])
+    def test_rejects_non_finite_column(self, column):
+        theta = np.full((3, 8), 1 / 3)
+        theta[:, 0] = column
+        with pytest.raises(DataError, match="not probability vectors"):
+            ArchitectureDistribution({2: theta}, 2)
 
 
 class TestSampling:
@@ -154,6 +165,26 @@ class TestAsngUpdate:
             for theta in dist.thetas.values():
                 assert np.all(theta >= 0.0)
                 np.testing.assert_allclose(theta.sum(axis=0), 1.0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=hnp.arrays(np.float64, (3, 8), elements=st.floats(0.0, 1.0)),
+        directions=st.lists(
+            hnp.arrays(np.float64, (3, 8), elements=st.floats(-1.0, 1.0)), min_size=1, max_size=5
+        ),
+        delta_init=st.floats(1e-3, 1e3),
+    )
+    def test_property_columns_stay_on_floored_simplex(self, columns, directions, delta_init):
+        # directions span [-1, 1], the range theta_gradient's (T - theta) terms produce
+        columns = columns + THETA_FLOOR
+        dist = ArchitectureDistribution({2: columns / columns.sum(axis=0)}, 2)
+        state = AsngState.for_distribution(dist, delta_init=delta_init)
+        for direction in directions:
+            asng_update(dist, {2: direction}, state)
+            theta = dist.thetas[2]
+            assert np.all(np.isfinite(theta))
+            assert np.all(theta >= THETA_FLOOR)
+            assert np.all(np.abs(theta.sum(axis=0) - 1.0) <= 1e-9)
 
 
 class TestDeriveFinal:
@@ -311,4 +342,16 @@ class TestThetaSnapshot:
         doc = theta_to_doc(init_theta(2, 2))
         doc["2"][0][0] = 0.9  # break the simplex
         with pytest.raises(DataError):
+            theta_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("segment_count", 2.7), ("segment_count", "two"), ("segment_count", True),
+         ("max_arity", 2.0), ("max_arity", None)],
+    )
+    def test_doc_fields_must_be_integers(self, field, value):
+        # 2.7 used to be truncated to 2 and "two" to raise a bare ValueError
+        doc = theta_to_doc(init_theta(2, 2))
+        doc[field] = value
+        with pytest.raises(DataError, match=repr(field)):
             theta_from_doc(doc)
