@@ -199,7 +199,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _effective(args, SYNTH_DEFAULTS)
-    arities = tuple(int(a) for a in str(cfg["arities"]).split(","))
+    try:
+        arities = tuple(int(a) for a in str(cfg["arities"]).split(","))
+    except ValueError:
+        raise DataError(f"arities must be comma-separated integers, got {cfg['arities']!r}") from None
     if cfg["truth_arch"]:
         truth = load_architecture(cfg["truth_arch"])
     else:

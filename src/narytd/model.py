@@ -5,9 +5,9 @@ Positions are 0-based throughout: a fact of arity n has entity positions
 q = 0, entity position q - 1 otherwise.
 
 A batch of B facts of arity n poses n*B queries, one per (fact, entity
-position), the position being the query's hole. hole_contexts stacks
-their contexts hole-major into one (n*B, m*ds) matrix, row p*B + b for
-fact b's hole p; no other code computes forward contexts. The training
+position), the position being the query's hole. One kernels.context_batch
+call over holes 1..n gives their contexts hole-major, reshaped to one
+(n*B, m*ds) matrix, row p*B + b for fact b's hole p. The training
 gradient sweeps the candidates with one matmul against it, and
 candidate_scores, which filtered ranking uses, returns that matmul.
 
@@ -38,33 +38,18 @@ def batch_ids(facts: Sequence[Fact]) -> tuple[np.ndarray, np.ndarray]:
     return rel, ent
 
 
-def hole_contexts(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Contexts of every hole of a packed batch, stacked hole-major.
-
-    X is a same-arity batch packed by pack_participants, shape (B, n+1, m,
-    ds). Row p*B + b of the (n*B, m*ds) result is fact b's context with
-    entity position p held out, so its product with a candidate's used
-    entity columns is fact b's score with that candidate at position p.
-    """
-    B, P, m, ds = X.shape
-    used = m * ds
-    C = np.empty(((P - 1) * B, used), dtype=X.dtype)
-    for p in range(P - 1):
-        C[p * B : (p + 1) * B] = kernels.context_batch(codes, X, p + 1).reshape(B, used)
-    return C
-
-
 def candidate_scores(
     assignment: CoreAssignment, embeddings: SegmentedEmbeddings, X: np.ndarray
 ) -> np.ndarray:
     """Scores of every entity at every hole of a packed batch, (n*B, n_e).
 
-    Rows are hole-major, as in hole_contexts: row p*B + b scores each
-    entity substituted at position p of fact b. The candidate sweep is one
-    matrix product against the entity rows' active prefix.
+    Rows are hole-major: row p*B + b scores each entity substituted at
+    position p of fact b. The candidate sweep is one matrix product
+    against the entity rows' active prefix.
     """
-    used = X.shape[2] * X.shape[3]
-    return hole_contexts(assignment.codes, X) @ embeddings.entity_matrix[:, :used].T
+    B, P, m, ds = X.shape
+    C = kernels.context_batch(assignment.codes, X, range(1, P)).reshape((P - 1) * B, m * ds)
+    return C @ embeddings.entity_matrix[:, : m * ds].T
 
 
 @dataclass
@@ -119,16 +104,16 @@ def _grad_arity_group(
     """Accumulate the loss gradient of one same-arity group; return its loss.
 
     Each of the B facts yields n queries, one per entity position (hole).
-    Their contexts are stacked hole-major into one (n*B, m*ds) matrix C
-    (hole_contexts), so the candidate sweep is one matmul Z = C @ E.T over
+    One context_batch call stacks their contexts hole-major into one
+    (n*B, m*ds) matrix C, so the candidate sweep is one matmul Z = C @ E.T over
     the used entity columns. The softmax runs in place on Z, with one exp
     pass over row blocks of at most _SOFTMAX_BLOCK_BYTES; Z then holds
     G = softmax - onehot(truth), the loss gradient with respect to the
     candidate scores. The hole gradient G.T @ C and the softmax-weighted candidate
     mixture G @ E are one matmul each. The remaining
     participants of each query get their gradient from contexts in which
-    the hole holds that mixture (multilinearity), scattered into the
-    gradient rows once per hole for the relation and once for the entities.
+    the hole holds that mixture (multilinearity): one context_batch call
+    per hole, scattered once for the relation and once for the entities.
     """
     B, n = entity_ids.shape
     X = pack_participants(embeddings, relation_ids, entity_ids)
@@ -137,7 +122,7 @@ def _grad_arity_group(
     E_used = embeddings.entity_matrix[:, :used]
     ent_grad = grads.entity[:, :used]
     rel_grad = grads.relation[:, :used]
-    C = hole_contexts(codes, X)
+    C = kernels.context_batch(codes, X, range(1, n + 1)).reshape(n * B, used)
     Z = C @ E_used.T
     rows = np.arange(n * B)
     true_ids = entity_ids.T.ravel()
@@ -164,11 +149,10 @@ def _grad_arity_group(
     for p in range(n):
         Xv = X.copy()
         Xv[:, p + 1] = virtual[p]
-        ctx_rel = kernels.context_batch(codes, Xv, 0).reshape(B, used)
-        _scatter_rows(rel_grad, relation_ids, ctx_rel)
         slots = [q for q in range(n) if q != p]
-        ctx_ent = [kernels.context_batch(codes, Xv, q + 1).reshape(B, used) for q in slots]
-        _scatter_rows(ent_grad, entity_ids[:, slots].T.ravel(), np.concatenate(ctx_ent))
+        ctx = kernels.context_batch(codes, Xv, [0] + [q + 1 for q in slots]).reshape(n * B, used)
+        _scatter_rows(rel_grad, relation_ids, ctx[:B])
+        _scatter_rows(ent_grad, entity_ids[:, slots].T.ravel(), ctx[B:])
     return loss
 
 

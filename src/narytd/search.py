@@ -449,7 +449,14 @@ def theta_from_doc(doc: Mapping) -> ArchitectureDistribution:
         key = str(n)
         if key not in doc:
             raise DataError(f"theta document missing arity {n}")
-        thetas[n] = np.asarray(doc[key], dtype=np.float64)
+        rows = doc[key]
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+            and all(type(x) in (int, float) for row in rows for x in row)
+        ):
+            raise DataError(f"theta for arity {n} must be equal-length JSON arrays of numbers")
+        thetas[n] = np.asarray(rows, dtype=np.float64)
     return ArchitectureDistribution(thetas, segment_count)
 
 

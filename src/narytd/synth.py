@@ -38,6 +38,10 @@ class PlantedSpec:
     def __post_init__(self):
         if self.entity_count < 1 or self.relation_count < 1:
             raise DataError("need at least one entity and one relation")
+        if self.dimension < 1 or self.segment_count < 1:
+            raise DataError(
+                f"dimension {self.dimension} and segment count {self.segment_count} must be >= 1"
+            )
         if self.dimension % self.segment_count != 0:
             raise DataError(
                 f"dimension {self.dimension} not divisible by segment count {self.segment_count}"
@@ -128,6 +132,10 @@ def random_truth(
     nonzero_fraction: float = 0.4,
 ) -> ArchitectureSet:
     """A random hidden assignment with at least one nonzero block per arity."""
+    if segment_count < 1:
+        raise DataError(f"segment count must be >= 1, got {segment_count}")
+    if not 0.0 <= nonzero_fraction <= 1.0:
+        raise DataError(f"nonzero fraction must be in [0, 1], got {nonzero_fraction}")
     rng = np.random.default_rng(seed)
     assignments = {}
     max_arity = max(arities)

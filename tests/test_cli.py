@@ -118,6 +118,21 @@ class TestSynth:
         assert rc == 4
         assert "margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("arities", "2,x", "arities"), ("segments", 0, "segment count"),
+         ("dim", 0, "dimension"), ("dim", -8, "dimension"),
+         ("nonzero-fraction", 2, "nonzero fraction"),
+         ("nonzero-fraction", -1, "nonzero fraction")],
+    )
+    def test_malformed_value_exits_3(self, tmp_path, capsys, flag, value, word):
+        # each used to end in a traceback, except -1, which planted one block
+        out = tmp_path / "x"
+        assert run(*synth_args(out, **{flag: value})) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+        assert not out.exists()
+
 
 @pytest.fixture
 def planted_dir(tmp_path):

@@ -80,7 +80,7 @@ def assert_match_loop_oracle(codes, X):
     )
     for hole in range(X.shape[1]):
         np.testing.assert_allclose(
-            kernels.context_batch(codes, X, hole),
+            kernels.context_batch(codes, X, [hole])[0],
             loop_context(codes, X, hole),
             rtol=1e-12,
             atol=1e-12,
@@ -111,7 +111,7 @@ def test_context_reconstructs_score():
     codes, X = random_case(rng, P=4, m=3, ds=2, B=7)
     scores = kernels.score_batch(codes, X)
     for hole in range(4):
-        ctx = kernels.context_batch(codes, X, hole)
+        ctx = kernels.context_batch(codes, X, [hole])[0]
         recombined = np.einsum("bjt,bjt->b", ctx, X[:, hole])
         np.testing.assert_allclose(recombined, scores, rtol=1e-10, atol=1e-12)
 
@@ -160,11 +160,33 @@ def test_zero_codes_zero_everything():
     _, X = random_case(rng)
     codes = np.zeros(8)
     assert np.all(kernels.score_batch(codes, X) == 0.0)
-    assert np.all(kernels.context_batch(codes, X, 1) == 0.0)
+    assert np.all(kernels.context_batch(codes, X, [1])[0] == 0.0)
 
 
 def test_context_hole_out_of_range():
     rng = np.random.default_rng(6)
     codes, X = random_case(rng)
     with pytest.raises(ValueError):
-        kernels.context_batch(codes, X, 3)
+        kernels.context_batch(codes, X, [3])[0]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 192, 640])
+def test_multi_hole_call_matches_one_hole_calls(monkeypatch, chunk_bytes):
+    # the chunk sizes of test_chunked_kernels_match_loop_oracle; holes
+    # unsorted and repeated, each context bit-identical to its own call
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(8)
+    codes, X = random_case(rng, P=4, m=2, ds=5, B=6)
+    holes = [3, 0, 3, 1, 2]
+    ctx = kernels.context_batch(codes, X, holes)
+    assert ctx.shape == (len(holes), 6, 2, 5)
+    for i, hole in enumerate(holes):
+        assert np.array_equal(ctx[i], kernels.context_batch(codes, X, [hole])[0])
+
+
+@pytest.mark.parametrize("holes", [[0, 4], [-1, 1], [2, 3, 1, 7]])
+def test_context_any_hole_out_of_range(holes):
+    rng = np.random.default_rng(9)
+    codes, X = random_case(rng, P=4)
+    with pytest.raises(ValueError, match="out of range"):
+        kernels.context_batch(codes, X, holes)

@@ -94,7 +94,7 @@ class TestComputeDtype:
             for n in (2, 3, 4, 2, 3, 4, 3)
         ]
         X = pack_participants(emb32, *batch_ids(facts[:1]))
-        assert X.dtype == kernels.context_batch(arch[2].codes, X, 1).dtype == np.float32
+        assert X.dtype == kernels.context_batch(arch[2].codes, X, [1])[0].dtype == np.float32
         g32, loss32 = grad_batch(arch, emb32, facts)
         g64, loss64 = grad_batch(arch, emb64, facts)
         for got, want in ((g32.entity, g64.entity), (g32.relation, g64.relation)):
@@ -287,7 +287,7 @@ def per_hole_grad_batch(architecture, embeddings, facts):
         E = embeddings.entity_matrix[:, :used]
         rows = np.arange(B)
         for p in range(n):
-            ctx = kernels.context_batch(codes, X, p + 1).reshape(B, used)
+            ctx = kernels.context_batch(codes, X, [p + 1])[0].reshape(B, used)
             Z = ctx @ E.T
             zmax = Z.max(axis=1)
             lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
@@ -300,7 +300,7 @@ def per_hole_grad_batch(architecture, embeddings, facts):
             for q in range(n + 1):
                 if q == p + 1:
                     continue
-                ctx_q = kernels.context_batch(codes, Xv, q).reshape(B, used)
+                ctx_q = kernels.context_batch(codes, Xv, [q])[0].reshape(B, used)
                 if q == 0:
                     np.add.at(rel_grad[:, :used], rel_ids, ctx_q)
                 else:

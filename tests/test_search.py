@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +191,23 @@ class TestAsngUpdate:
             assert np.all(np.abs(theta.sum(axis=0) - 1.0) <= 1e-9)
 
 
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under the suite's warning filters, a failing hypothesis test must print
+    # its falsifying example, not abort the session with an INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Falsifying example" in done.stdout and "INTERNALERROR" not in done.stdout
+
+
 class TestDeriveFinal:
     def test_one_hot_roundtrip(self):
         arch = ArchitectureSet({2: CoreAssignment(2, 2, np.array([1, -1, 0, 0, 1, -1, 1, 0], np.int8))})
@@ -342,6 +363,18 @@ class TestThetaSnapshot:
         doc = theta_to_doc(init_theta(2, 2))
         doc["2"][0][0] = 0.9  # break the simplex
         with pytest.raises(DataError):
+            theta_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["x", [[1, 2], [3]], [["a"] * 8] * 3, [["1"] * 8, ["0"] * 8, ["0"] * 8],
+         [[True] * 8, [False] * 8, [False] * 8], 0.5, [0.5] * 3],
+    )
+    def test_doc_rows_must_be_arrays_of_numbers(self, rows):
+        # the first three used to raise a bare ValueError; numeric strings and bools were read as floats
+        doc = theta_to_doc(init_theta(2, 2))
+        doc["2"] = rows
+        with pytest.raises(DataError, match="arity 2"):
             theta_from_doc(doc)
 
     @pytest.mark.parametrize(
