@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .data import Fact, Vocabulary, int_fields, load_json_object, write_json
+from .data import Fact, Vocabulary, fact_groups, int_fields, load_json_object, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -221,14 +221,8 @@ def score_fact(
     assignment: CoreAssignment, embeddings: SegmentedEmbeddings, fact: Fact
 ) -> float:
     """Multilinear block-sparse score of one fact."""
-    return float(
-        score_batch(
-            assignment,
-            embeddings,
-            np.array([fact.relation]),
-            np.array([fact.entities]),
-        )[0]
-    )
+    [(_, _, relation_ids, entity_ids)] = fact_groups([fact])
+    return float(score_batch(assignment, embeddings, relation_ids, entity_ids)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +244,9 @@ def memorization_model(
     d = len(facts)
     ent = np.zeros((vocabulary.entity_count, d))
     rel = np.zeros((vocabulary.relation_count, d))
-    for k, fact in enumerate(facts):
-        rel[fact.relation, k] = 1.0
-        for e in fact.entities:
-            ent[e, k] = 1.0
+    for _, index, relation_ids, entity_ids in fact_groups(facts):  # fact k sets coordinate k
+        rel[relation_ids, index] = 1.0
+        ent[entity_ids, index[:, None]] = 1.0
     embeddings = SegmentedEmbeddings(ent, rel, segment_count=1)
     max_arity = max(f.arity for f in facts)
     architecture = preset_set("cp", max(max_arity, 2), segment_count=1)

@@ -13,10 +13,9 @@ codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .data import (
     Dataset,
     build_dataset,
     build_filter_index,
+    json_text,
     load_dataset_dir,
     load_json_object,
     parse_facts_file,
@@ -103,7 +103,7 @@ CHOICES = {"tie_policy": TIE_POLICIES, "preset": PRESET_NAMES, "split": SPLITS}
 
 
 def _print_doc(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(doc) + "\n")
 
 
 def _effective(args: argparse.Namespace, defaults: dict = RUN_DEFAULTS) -> dict:
@@ -285,16 +285,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             ).mrr
     save_checkpoint(out, result.embeddings, architecture, config=cfg, extra_meta=extra)
     write_json(out / "config.json", cfg)
-    write_json(
-        out / "loss_history.json",
-        {
-            "epochs": [
-                {"epoch": r.epoch, "mean_loss": r.mean_loss, "facts": r.facts}
-                for r in result.history
-            ],
-            "valid_mrr": [{"epoch": e, "mrr": v} for e, v in result.valid_mrr_history],
-        },
-    )
+    write_json(out / "loss_history.json", {
+        "epochs": [asdict(report) for report in result.history],  # epoch, mean_loss, facts
+        "valid_mrr": [{"epoch": e, "mrr": v} for e, v in result.valid_mrr_history],
+    })
     _print_doc({"checkpoint": str(out), "epochs": len(result.history), **extra})
     return 0
 

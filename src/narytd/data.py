@@ -4,8 +4,11 @@ Canonical input is one fact per line, `relation<TAB>e1<TAB>...<TAB>en`
 with n >= 2, UTF-8, `#` starting a comment line. A dataset directory
 holds `train.tsv`, optional `valid.tsv`, and `test.tsv`.
 
-Every artifact is written atomically by write_file (write_json for JSON),
-and the integer fields of every JSON artifact are read by int_fields.
+fact_groups is the one conversion of facts into per-arity id arrays;
+FilterIndex keeps a bytewise-sorted np.void table per arity, read by
+searchsorted. Every artifact is written atomically by write_file
+(write_json for JSON), and the integer fields of every JSON artifact are
+read by int_fields.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ from __future__ import annotations
 import json
 import logging
 import os
-from collections import defaultdict
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, NumericError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -119,29 +123,59 @@ class Dataset:
 
 
 class FilterIndex:
-    """Known-true fillers per (fact-with-hole, hole position).
+    """Known-true fillers of every (fact, hole position) query over `facts`.
 
-    Keys cover train+valid+test, so ranking a test query can drop every
-    corrupted candidate that is itself a known fact.
+    Per arity it keeps the distinct rows (hole position, relation, other
+    entities, filler) of _hole_rows, sorted bytewise, so each key's
+    fillers form one run; no id range or arity can overflow such a key.
     """
 
-    def __init__(self):
-        self._index: dict[tuple, set[int]] = defaultdict(set)
+    def __init__(self, facts: Sequence[Fact]):
+        self._rows = {}
+        for n, _, relation_ids, entity_ids in fact_groups(facts):
+            rows = np.sort(_hole_rows(relation_ids, entity_ids))
+            self._rows[n] = rows[np.r_[True, rows[1:] != rows[:-1]]]  # each distinct row once
 
-    @staticmethod
-    def key(relation: int, entities: Sequence[int], position: int) -> tuple:
-        rest = tuple(entities[:position]) + tuple(entities[position + 1 :])
-        return (relation, position, rest)
+    def fillers(self, relation_ids: np.ndarray, entity_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(rows, cols) of a same-arity chunk: entity cols[i] is a known filler of
+        its hole-major query rows[i] (query p*B + b holds fact b's position p out)."""
+        n, queries = entity_ids.shape[1], _hole_rows(relation_ids, entity_ids)
+        table = self._rows.get(n, queries[:0])  # an arity the index lacks: no fillers
+        filler = queries.view(np.int64)[n + 1 :: n + 2]
+        filler[:] = 0  # all bytes 0x00: the key's first possible row
+        lo = np.searchsorted(table, queries, side="left")
+        filler[:] = -1  # all bytes 0xff: its last
+        counts = np.searchsorted(table, queries, side="right") - lo
+        rows = np.repeat(np.arange(len(queries)), counts)
+        offset = np.repeat(lo - np.cumsum(counts) + counts, counts)  # run start less output start
+        return rows, table.view(np.int64)[n + 1 :: n + 2][offset + np.arange(len(rows))]
 
-    def add(self, fact: Fact) -> None:
-        for p in range(fact.arity):
-            self._index[self.key(fact.relation, fact.entities, p)].add(fact.entities[p])
 
-    def fillers(self, relation: int, entities: Sequence[int], position: int) -> frozenset[int]:
-        return frozenset(self._index.get(self.key(relation, entities, position), ()))
+def _hole_rows(relation_ids: np.ndarray, entity_ids: np.ndarray) -> np.ndarray:
+    """Rows (hole position, relation, other entities, filler) of int64s, each
+    one np.void compared bytewise; row p*B + b holds position p of fact b out."""
+    B, n = entity_ids.shape
+    order = [[q for q in range(n) if q != p] + [p] for p in range(n)]  # others, then the hole
+    rows = np.empty((n, B, n + 2), dtype=np.int64)
+    rows[:, :, 0] = np.arange(n)[:, None]
+    rows[:, :, 1] = relation_ids
+    rows[:, :, 2:] = entity_ids[:, order].transpose(1, 0, 2)
+    return rows.reshape(n * B, n + 2).view(np.dtype((np.void, 8 * (n + 2)))).ravel()
 
-    def __len__(self) -> int:
-        return len(self._index)
+
+def fact_groups(facts: Sequence[Fact]) -> list[tuple]:
+    """(n, index (N,), relation ids (N,), entity ids (N, n)) per arity n, ascending,
+    index[i] being row i's position in `facts`; rows keep input order. This is
+    the one place where a fact list becomes id arrays."""
+    arities = np.fromiter((len(f.entities) for f in facts), np.int64, len(facts))
+    relations = np.fromiter((f.relation for f in facts), np.int64, len(facts))
+    flat = np.fromiter(chain.from_iterable(f.entities for f in facts), np.int64, arities.sum())
+    starts = np.cumsum(arities) - arities
+    groups = []
+    for n in sorted(set(arities.tolist())):
+        index = np.flatnonzero(arities == n)
+        groups.append((n, index, relations[index], flat[starts[index, None] + np.arange(n)]))
+    return groups
 
 
 def parse_facts(stream: TextIO, source: str | None = None) -> list[RawFact]:
@@ -152,6 +186,9 @@ def parse_facts(stream: TextIO, source: str | None = None) -> list[RawFact]:
     """
     facts: list[RawFact] = []
     for lineno, raw in enumerate(stream, start=1):
+        # errors="surrogateescape" turns each byte that is not UTF-8 into U+DC80..U+DCFF
+        if not raw.isascii() and re.search("[\udc80-\udcff]", raw):
+            raise ParseError("not UTF-8", line_number=lineno, source=source)
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -179,7 +216,7 @@ def require_file(path: str | Path, what: str) -> Path:
 
 def parse_facts_file(path: str | Path) -> list[RawFact]:
     path = require_file(path, "fact file")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_facts(fh, source=str(path))
 
 
@@ -229,9 +266,17 @@ def write_file(path: str | Path, data: str | bytes) -> None:
         raise
 
 
+def json_text(doc, indent: int | None = None) -> str:
+    """json.dumps with sorted keys; a NaN or infinity raises NumericError."""
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"refusing to write a non-finite number: {exc}") from None
+
+
 def write_json(path: str | Path, doc: dict) -> None:
-    """write_file of a JSON document: sorted keys, indent 2, a final newline."""
-    write_file(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """write_file of json_text(doc, indent=2) and a final newline."""
+    write_file(path, json_text(doc, indent=2) + "\n")
 
 
 def serialize_facts(facts: Iterable[RawFact]) -> str:
@@ -310,19 +355,11 @@ def build_dataset(
     valid = list(valid or [])
 
     # ids ordered by first occurrence across train, valid, test
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-    seen_e: set[str] = set()
-    seen_r: set[str] = set()
-    for rel, ents in train + valid + test:
-        if rel not in seen_r:
-            seen_r.add(rel)
-            relation_names.append(rel)
-        for e in ents:
-            if e not in seen_e:
-                seen_e.add(e)
-                entity_names.append(e)
-    vocab = Vocabulary(entity_names, relation_names)
+    all_raw = train + valid + test
+    vocab = Vocabulary(
+        list(dict.fromkeys(e for _, ents in all_raw for e in ents)),
+        list(dict.fromkeys(rel for rel, _ in all_raw)),
+    )
 
     def encode(raw: Sequence[RawFact]) -> list[Fact]:
         return [
@@ -331,30 +368,21 @@ def build_dataset(
         ]
 
     ds = Dataset(vocab, encode(train), encode(valid), encode(test))
-    overlap = set(map(_fact_key, ds.train)) & set(map(_fact_key, ds.valid + ds.test))
+    overlap = set(ds.train) & set(ds.valid + ds.test)
     if overlap:
         logger.warning("train overlaps valid/test on %d fact(s)", len(overlap))
     return ds
 
 
-def _fact_key(fact: Fact) -> tuple:
-    return (fact.relation,) + fact.entities
-
-
 def build_filter_index(dataset: Dataset) -> FilterIndex:
     """Index every (fact, position) over all three splits."""
-    index = FilterIndex()
-    for fact in dataset.all_facts():
-        index.add(fact)
-    return index
+    return FilterIndex(list(dataset.all_facts()))
 
 
 def group_by_arity(facts: Iterable[Fact]) -> dict[int, list[Fact]]:
-    """Partition facts by arity, preserving order within each group."""
-    groups: dict[int, list[Fact]] = {}
-    for fact in facts:
-        groups.setdefault(fact.arity, []).append(fact)
-    return groups
+    """Partition facts by arity, ascending, preserving order within each group."""
+    facts = list(facts)
+    return {n: [facts[i] for i in index.tolist()] for n, index, _, _ in fact_groups(facts)}
 
 
 def load_dataset_dir(

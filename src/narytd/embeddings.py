@@ -74,12 +74,8 @@ def init_embeddings(
     """Fresh float32 embeddings, entries i.i.d. uniform on [-sqrt(6/d), +sqrt(6/d)].
 
     The draws are float64 rounded to float32, so training computes in
-    float32 (see SegmentedEmbeddings).
+    float32 (see SegmentedEmbeddings), whose constructor checks the shape.
     """
-    if dimension % segment_count != 0:
-        raise DataError(
-            f"dimension {dimension} not divisible by segment count {segment_count}"
-        )
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / dimension)
     ent = rng.uniform(-bound, bound, size=(entity_count, dimension))

@@ -6,14 +6,15 @@ before ranking, except the query's own answer.
 
 Ranking is one block routine, _block_ranks: it counts, per row of a
 score matrix, the candidates above the truth and subtracts the known-true
-fillers among them, so no candidate mask is built per query. query_ranks
+fillers among them, so no candidate mask is built per query. rank_matrix
 feeds it the hole-major score matrix of each same-arity chunk of facts
 (model.candidate_scores: every hole of every fact in the chunk), with
 chunks sized so that matrix stays within _SCORE_BYTES, which bounds
-evaluation memory whatever the split size; filtered_rank is its one-row
-form.
+evaluation memory whatever the split size. FilterIndex.fillers gives a
+chunk's known fillers as (rows, cols) arrays, with no Python per query;
+filtered_rank is the one-row form of _block_ranks.
 
-Ranking computes in float64 whatever the embeddings' dtype: query_ranks
+Ranking computes in float64 whatever the embeddings' dtype: rank_matrix
 upcasts the (float32) trained embeddings once per call, so ranks equal a
 float64 computation on the stored values.
 """
@@ -21,16 +22,15 @@ float64 computation on the stored values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .blocks import ArchitectureSet, pack_participants
-from .data import Dataset, Fact, FilterIndex, build_filter_index, group_by_arity
+from .data import Dataset, Fact, FilterIndex, build_filter_index, fact_groups
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
-from .model import batch_ids, candidate_scores
+from .model import candidate_scores
 
 HITS_LEVELS = (1, 3, 10)
 
@@ -138,21 +138,20 @@ def aggregate(ranks: Sequence[int]) -> RankingMetrics:
     )
 
 
-def query_ranks(
+def rank_matrix(
     embeddings: SegmentedEmbeddings,
     architecture: ArchitectureSet,
     facts: Sequence[Fact],
     filter_index: FilterIndex,
     tie_policy: str = "optimistic",
-) -> list[int]:
-    """Filtered ranks for every (fact, position) query, in fact order.
+) -> np.ndarray:
+    """Filtered ranks as a (facts, max arity) matrix; a position a fact lacks holds 0.
 
     Facts are scored in float64, in same-arity row chunks. Each chunk is
     packed once and scored at every hole by one candidate_scores call,
     whose hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES,
     so memory does not grow with the number of facts; the chunk is then
-    ranked as one block (see _block_ranks). The returned list is ordered
-    by fact then position, regardless of batching.
+    ranked as one block (see _block_ranks).
     """
     _check_tie_policy(tie_policy)
     embeddings = SegmentedEmbeddings(
@@ -160,29 +159,29 @@ def query_ranks(
         embeddings.relation_matrix.astype(np.float64, copy=False),
         embeddings.segment_count,
     )
-    arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
-    first_query = np.cumsum(arities) - arities
-    ranks = np.empty(int(arities.sum()), dtype=np.int64)
-    for arity, group in sorted(group_by_arity(facts).items()):
+    groups = fact_groups(facts)
+    ranks = np.zeros((len(facts), max((g[0] for g in groups), default=0)), dtype=np.int64)
+    for arity, index, rel_ids, ent_ids in groups:
         assignment = architecture[arity]
-        first = first_query[arities == arity]
-        rel_ids, ent_ids = batch_ids(group)
         step = max(1, _SCORE_BYTES // (8 * arity * embeddings.entity_count))
-        for start in range(0, len(group), step):
-            chunk = slice(start, start + step)
-            X = pack_participants(embeddings, rel_ids[chunk], ent_ids[chunk])
-            Z = candidate_scores(assignment, embeddings, X)
-            fillers = [
-                filter_index.fillers(fact.relation, fact.entities, p)
-                for p in range(arity)
-                for fact in group[chunk]
-            ]
-            counts = np.fromiter(map(len, fillers), dtype=np.int64, count=len(fillers))
-            cols = np.fromiter(chain.from_iterable(fillers), dtype=np.int64, count=counts.sum())
-            rows = np.repeat(np.arange(len(fillers)), counts)
-            queries = (np.arange(arity)[:, None] + first[chunk]).ravel()
-            ranks[queries] = _block_ranks(Z, ent_ids[chunk].T.ravel(), rows, cols, tie_policy)
-    return ranks.tolist()
+        for start in range(0, len(index), step):
+            rel, ent = rel_ids[start : start + step], ent_ids[start : start + step]
+            Z = candidate_scores(assignment, embeddings, pack_participants(embeddings, rel, ent))
+            rank = _block_ranks(Z, ent.T.ravel(), *filter_index.fillers(rel, ent), tie_policy)
+            ranks[index[start : start + step], :arity] = rank.reshape(arity, len(ent)).T
+    return ranks
+
+
+def query_ranks(
+    embeddings: SegmentedEmbeddings,
+    architecture: ArchitectureSet,
+    facts: Sequence[Fact],
+    filter_index: FilterIndex,
+    tie_policy: str = "optimistic",
+) -> list[int]:
+    """Filtered ranks for every (fact, position) query, by fact then position."""
+    ranks = rank_matrix(embeddings, architecture, facts, filter_index, tie_policy)
+    return ranks[ranks > 0].tolist()
 
 
 def evaluate(

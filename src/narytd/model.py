@@ -25,17 +25,10 @@ import numpy as np
 
 from . import kernels
 from .blocks import ArchitectureSet, CoreAssignment, load_architecture, pack_participants, save_architecture
-from .data import Fact, group_by_arity, int_fields, load_json_object, require_file
+from .data import Fact, fact_groups, int_fields, load_json_object, require_file
 from .data import write_file, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
-
-
-def batch_ids(facts: Sequence[Fact]) -> tuple[np.ndarray, np.ndarray]:
-    """Id arrays (relations (B,), entities (B, n)) for same-arity facts."""
-    rel = np.fromiter((f.relation for f in facts), dtype=np.int64, count=len(facts))
-    ent = np.array([f.entities for f in facts], dtype=np.int64)
-    return rel, ent
 
 
 def candidate_scores(
@@ -167,10 +160,8 @@ def grad_batch(
     """
     grads = GradientAccumulator.zeros_like(embeddings)
     loss = 0.0
-    for arity, group in sorted(group_by_arity(facts).items()):
-        codes = architecture[arity].codes
-        rel_ids, ent_ids = batch_ids(group)
-        loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
+    for arity, _, rel_ids, ent_ids in fact_groups(facts):
+        loss += _grad_arity_group(architecture[arity].codes, embeddings, rel_ids, ent_ids, grads)
     return grads, loss
 
 

@@ -11,7 +11,6 @@ probable op per block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,10 +19,10 @@ import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count
 from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
-from .data import write_json
+from .data import json_text, write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
-from .errors import DataError
-from .evaluation import query_ranks
+from .errors import DataError, NumericError
+from .evaluation import rank_matrix
 from .model import AdamState, adam_step, grad_embeddings_mc
 from .training import TrainConfig, batch_rng, epoch_batches
 
@@ -66,9 +65,6 @@ class ArchitectureDistribution:
 
     def arities(self) -> list[int]:
         return sorted(self.thetas)
-
-    def column_count(self) -> int:
-        return sum(t.shape[1] for t in self.thetas.values())
 
     def sample_with_stats(
         self, rng: np.random.Generator
@@ -166,14 +162,11 @@ def validation_utility(
     """
     if not facts:
         raise DataError("validation batch is empty")
-    recips = 1.0 / np.array(query_ranks(embeddings, architecture, facts, filter_index, tie_policy))
-    arities = np.fromiter((f.arity for f in facts), dtype=np.int64, count=len(facts))
-    first = np.cumsum(arities) - arities
+    ranks = rank_matrix(embeddings, architecture, facts, filter_index, tie_policy)
     utilities = np.zeros(len(facts))
-    for p in range(int(arities.max())):
-        has = arities > p
-        utilities[has] += recips[first[has] + p]
-    utilities /= arities
+    for recips in 1.0 / np.where(ranks > 0, ranks, np.inf).T:  # a lacking position adds 0
+        utilities += recips
+    utilities /= np.count_nonzero(ranks, axis=1)
     return utilities, float(utilities.mean())
 
 
@@ -240,7 +233,8 @@ class AsngState:
         cls, distribution: ArchitectureDistribution, delta_init: float = 1.0
     ) -> "AsngState":
         # two free coordinates per 3-way column
-        return cls(signal=np.zeros(2 * distribution.column_count()), delta_init=delta_init)
+        columns = sum(t.shape[1] for t in distribution.thetas.values())
+        return cls(signal=np.zeros(2 * columns), delta_init=delta_init)
 
 
 def _fisher_normalized(
@@ -318,8 +312,8 @@ class SearchConfig:
             raise DataError("lam must be >= 1")
         if self.search_epochs < 0 or self.val_batch_size < 1:
             raise DataError("search_epochs must be >= 0 and val_batch_size >= 1")
-        if self.theta_lr <= 0:
-            raise DataError("theta_lr must be positive")
+        if not 0 < self.theta_lr < np.inf:
+            raise DataError(f"theta_lr must be finite and > 0, got {self.theta_lr}")
 
 
 @dataclass
@@ -336,7 +330,7 @@ class SearchTrace:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        return "".join(json_text(r) + "\n" for r in self.records)
 
 
 @dataclass
@@ -387,13 +381,15 @@ def search_loop(
     shuffle_rng = batch_rng(train_config.seed)
     sample_rng = np.random.default_rng([search_config.seed, 1])
     trace = SearchTrace()
-    valid = dataset.valid
+    valid, tie_policy = dataset.valid, search_config.tie_policy
 
     for epoch in range(search_config.search_epochs):
         lr = train_config.learning_rate * train_config.decay_rate**epoch
         for batch in epoch_batches(dataset.train, train_config.batch_size, shuffle_rng):
             samples = sample_architectures(distribution, search_config.lam, sample_rng)
-            grads, _ = grad_embeddings_mc([arch for arch, _ in samples], embeddings, batch)
+            grads, loss = grad_embeddings_mc([arch for arch, _ in samples], embeddings, batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"search loss diverged at epoch {epoch}: {loss}")
             embeddings, adam = adam_step(embeddings, grads, adam, lr)
 
             if len(valid) > search_config.val_batch_size:
@@ -403,14 +399,10 @@ def search_loop(
                 val_batch = [valid[i] for i in pick]
             else:
                 val_batch = valid
-            utilities = []
-            per_fact = []
-            for arch, _ in samples:
-                fact_u, mean_u = validation_utility(
-                    embeddings, arch, val_batch, filter_index, search_config.tie_policy
-                )
-                per_fact.append(fact_u)
-                utilities.append(mean_u)
+            per_fact, utilities = zip(*(
+                validation_utility(embeddings, arch, val_batch, filter_index, tie_policy)
+                for arch, _ in samples
+            ))
             weights = per_fact_ranked_weights(np.stack(per_fact))
             direction = theta_gradient(
                 [(stat, float(w)) for (_, stat), w in zip(samples, weights)], distribution

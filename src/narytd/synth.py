@@ -53,6 +53,8 @@ class PlantedSpec:
                 raise DataError(f"ground truth has no assignment for arity {n}")
         if self.facts_per_arity < 1:
             raise DataError("facts_per_arity must be >= 1")
+        if self.max_draws < 1:
+            raise DataError(f"max_draws must be >= 1, got {self.max_draws}")
 
 
 @dataclass

@@ -39,6 +39,10 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.max_epochs < 0:
             raise DataError("batch_size must be >= 1 and max_epochs >= 0")
+        if not 0 <= self.learning_rate < np.inf:  # 0 is allowed: it freezes the embeddings
+            raise DataError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 < self.decay_rate <= 1:
+            raise DataError(f"decay_rate must be in (0, 1], got {self.decay_rate}")
 
 
 @dataclass

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from narytd.blocks import load_architecture, preset_set, save_architecture
 from narytd.data import int_fields, write_file, write_json
 from narytd.embeddings import init_embeddings
-from narytd.errors import DataError
+from narytd.errors import DataError, NumericError
 from narytd.model import load_checkpoint, save_checkpoint
-from narytd.search import init_theta, save_theta
+from narytd.search import SearchTrace, init_theta, save_theta
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -69,6 +69,16 @@ class TestWriteFile:
         finally:
             os.umask(old)
         assert (tmp_path / "f").stat().st_mode & 0o777 == 0o644
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_leaves_no_file(self, tmp_path, value):
+        with pytest.raises(NumericError):
+            write_json(tmp_path / "d.json", {"a": [1.0, value]})
+        assert os.listdir(tmp_path) == []
+        trace = SearchTrace()
+        trace.append(utilities=[value])
+        with pytest.raises(NumericError):
+            trace.to_jsonl()
 
     def test_failed_write_keeps_old_file(self, tmp_path, failing_replace):
         path = tmp_path / "f"

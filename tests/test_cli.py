@@ -86,6 +86,13 @@ class TestIngest:
         assert rc == 3
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_invalid_utf8_reports_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"r\ta\tb\nr\t\xff\tc\n")
+        assert run("ingest", "--train", bad, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bad.tsv:2" in err
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("r\ta\tb\nr\tonly_one\n")
@@ -123,7 +130,8 @@ class TestSynth:
         [("arities", "2,x", "arities"), ("segments", 0, "segment count"),
          ("dim", 0, "dimension"), ("dim", -8, "dimension"),
          ("nonzero-fraction", 2, "nonzero fraction"),
-         ("nonzero-fraction", -1, "nonzero fraction")],
+         ("nonzero-fraction", -1, "nonzero fraction"),
+         ("max-draws", 0, "max_draws"), ("max-draws", -5, "max_draws")],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, flag, value, word):
         # each used to end in a traceback, except -1, which planted one block
@@ -173,6 +181,34 @@ class TestSearchCommand:
         trace_lines = (out / "trace.jsonl").read_text().strip().splitlines()
         assert len(trace_lines) == summary["iterations"]
         assert all("utilities" in json.loads(line) for line in trace_lines)
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("train", "--lr", -0.05), ("train", "--lr", "nan"), ("train", "--decay-rate", -1),
+         ("train", "--decay-rate", 1.5), ("search", "--theta-lr", "nan"),
+         ("search", "--theta-lr", "inf")],
+    )
+    def test_out_of_domain_value_exits_3(self, command, flag, value, planted_dir, tmp_path,
+                                         capsys):
+        out = tmp_path / "o"
+        extra = ["--preset", "cp"] if command == "train" else []
+        assert run(command, "--data", planted_dir, "--out", out, flag, value, *extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["search", "train"])
+    def test_diverged_run_exits_4(self, command, planted_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        extra = ["--preset", "cp"] if command == "train" else []
+        with np.errstate(all="ignore"):  # the diverging steps overflow
+            rc = run(command, "--data", planted_dir, "--out", out, "--dim", 8, "--lr", 1e30,
+                     *extra)
+        assert rc == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEval:

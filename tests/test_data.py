@@ -2,17 +2,22 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narytd.data import (
     Fact,
+    FilterIndex,
     Vocabulary,
     build_dataset,
     build_filter_index,
+    fact_groups,
     facts_to_raw,
     group_by_arity,
     holdout_split,
     load_dataset_dir,
     parse_facts,
+    parse_facts_file,
     serialize_facts,
     write_dataset_dir,
 )
@@ -100,16 +105,18 @@ def test_filter_index_groups_fillers():
     b = ds.vocabulary.entity_id("b")
     c = ds.vocabulary.entity_id("c")
     r = ds.vocabulary.relation_id("r")
-    assert index.fillers(r, (a, b), position=1) == {b, c}
-    assert index.fillers(r, (a, b), position=0) == {a}
+    rows, cols = index.fillers(np.array([r]), np.array([[a, b]]))
+    # query p of a one-fact chunk holds position p out
+    assert sorted(cols[rows == 1].tolist()) == sorted([b, c])
+    assert cols[rows == 0].tolist() == [a]
 
 
 def test_filter_index_singleton_dataset():
     ds = build_dataset([("r", ("a", "b", "c"))])
     index = build_filter_index(ds)
     fact = ds.train[0]
-    for p in range(fact.arity):
-        assert index.fillers(fact.relation, fact.entities, p) == {fact.entities[p]}
+    rows, cols = index.fillers(np.array([fact.relation]), np.array([fact.entities]))
+    assert rows.tolist() == [0, 1, 2] and cols.tolist() == list(fact.entities)
 
 
 def test_filter_index_self_membership_random():
@@ -123,8 +130,66 @@ def test_filter_index_self_membership_random():
     ds = build_dataset(facts)
     index = build_filter_index(ds)
     for fact in ds.all_facts():
+        rows, cols = index.fillers(np.array([fact.relation]), np.array([fact.entities]))
         for p in range(fact.arity):
-            assert fact.entities[p] in index.fillers(fact.relation, fact.entities, p)
+            assert fact.entities[p] in cols[rows == p]
+
+
+# few relations and entity ids, so facts repeat and keys collide; the
+# large ids would overflow any key packed into one integer
+FACTS = st.lists(
+    st.builds(
+        Fact,
+        st.sampled_from([0, 1, 2**40]),
+        st.lists(st.sampled_from([0, 1, 2, 2**62]), min_size=2, max_size=4).map(tuple),
+    ),
+    max_size=25,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(indexed=FACTS, others=FACTS)
+def test_property_fillers_match_dict_of_sets(indexed, others):
+    facts = indexed + indexed[:3]  # duplicate facts index once
+    known: dict[tuple, set[int]] = {}
+    for f in facts:
+        for p, e in enumerate(f.entities):
+            known.setdefault((f.relation, p, f.entities[:p] + f.entities[p + 1 :]), set()).add(e)
+    index = FilterIndex(facts)
+    queries = indexed + others  # keys in the index and keys absent from it
+    for n in (2, 3, 4):  # an arity may be absent from the index or the queries
+        group = [f for f in queries if f.arity == n]
+        rows, cols = index.fillers(
+            np.array([f.relation for f in group], dtype=np.int64),
+            np.array([f.entities for f in group], dtype=np.int64).reshape(len(group), n),
+        )
+        got = list(zip(rows.tolist(), cols.tolist()))
+        want = {
+            (p * len(group) + b, e)
+            for p in range(n)
+            for b, f in enumerate(group)
+            for e in known.get((f.relation, p, f.entities[:p] + f.entities[p + 1 :]), ())
+        }
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_fact_groups_by_ascending_arity_in_input_order():
+    facts = [Fact(1, (0, 1, 2)), Fact(0, (3, 4)), Fact(2, (5, 6, 7)), Fact(0, (8, 9))]
+    groups = fact_groups(facts)
+    assert [n for n, *_ in groups] == [2, 3]
+    (_, index2, rel2, ent2), (_, index3, rel3, ent3) = groups
+    assert index2.tolist() == [1, 3] and rel2.tolist() == [0, 0]
+    assert ent2.tolist() == [[3, 4], [8, 9]]
+    assert index3.tolist() == [0, 2] and rel3.tolist() == [1, 2]
+    assert ent3.tolist() == [[0, 1, 2], [5, 6, 7]]
+    assert fact_groups([]) == []
+
+
+def test_fact_file_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"r\ta\tb\nr\t\xff\tc\n")
+    with pytest.raises(ParseError, match=r"bad\.tsv:2: .*UTF-8"):
+        parse_facts_file(path)
 
 
 def test_group_by_arity_mixed():

@@ -10,7 +10,7 @@ from narytd.blocks import (
     score_fact,
     zero_assignment,
 )
-from narytd.data import Fact
+from narytd.data import Fact, fact_groups
 from narytd.embeddings import SegmentedEmbeddings, init_embeddings
 from narytd.errors import DataError
 from narytd.model import (
@@ -20,7 +20,6 @@ from narytd.model import (
     AdamState,
     GradientAccumulator,
     adam_step,
-    batch_ids,
     candidate_scores,
     grad_batch,
     grad_embeddings_mc,
@@ -28,6 +27,12 @@ from narytd.model import (
     save_checkpoint,
 )
 from narytd.search import ArchitectureDistribution
+
+
+def same_arity_ids(facts):
+    """(relation ids, entity ids) of facts that share one arity."""
+    [(_, _, rel_ids, ent_ids)] = fact_groups(facts)
+    return rel_ids, ent_ids
 
 
 def random_model(rng, n_e=5, n_r=2, d=8, M=2, arities=(2, 3)):
@@ -93,7 +98,7 @@ class TestComputeDtype:
             Fact(int(rng.integers(3)), tuple(int(x) for x in rng.integers(9, size=n)))
             for n in (2, 3, 4, 2, 3, 4, 3)
         ]
-        X = pack_participants(emb32, *batch_ids(facts[:1]))
+        X = pack_participants(emb32, *same_arity_ids(facts[:1]))
         assert X.dtype == kernels.context_batch(arch[2].codes, X, [1])[0].dtype == np.float32
         g32, loss32 = grad_batch(arch, emb32, facts)
         g64, loss64 = grad_batch(arch, emb64, facts)
@@ -125,7 +130,7 @@ class TestCandidateScores:
         rng = np.random.default_rng(0)
         emb, arch = random_model(rng)
         facts = [Fact(1, (0, 3, 2)), Fact(0, (4, 4, 1)), Fact(1, (2, 0, 3))]
-        Z = candidate_scores(arch[3], emb, pack_participants(emb, *batch_ids(facts)))
+        Z = candidate_scores(arch[3], emb, pack_participants(emb, *same_arity_ids(facts)))
         assert Z.shape == (3 * len(facts), emb.entity_count)
         for p in range(3):
             for b, fact in enumerate(facts):
@@ -137,14 +142,14 @@ class TestCandidateScores:
         rng = np.random.default_rng(1)
         emb, _ = random_model(rng)
         facts = [Fact(0, (0, 1)), Fact(1, (3, 2))]
-        Z = candidate_scores(zero_assignment(2, 2), emb, pack_participants(emb, *batch_ids(facts)))
+        Z = candidate_scores(zero_assignment(2, 2), emb, pack_participants(emb, *same_arity_ids(facts)))
         assert Z.shape == (4, emb.entity_count) and np.all(Z == 0.0)
 
     def test_matches_per_candidate_loop(self):
         rng = np.random.default_rng(2)
         emb, arch = random_model(rng, n_e=3)
         facts = [Fact(0, (0, 2)), Fact(1, (1, 1)), Fact(0, (2, 0))]
-        Z = candidate_scores(arch[2], emb, pack_participants(emb, *batch_ids(facts)))
+        Z = candidate_scores(arch[2], emb, pack_participants(emb, *same_arity_ids(facts)))
         for p in range(2):
             for b, fact in enumerate(facts):
                 for e in range(3):
@@ -277,9 +282,8 @@ def per_hole_grad_batch(architecture, embeddings, facts):
     ent_grad = np.zeros_like(embeddings.entity_matrix)
     rel_grad = np.zeros_like(embeddings.relation_matrix)
     loss = 0.0
-    for arity in sorted({f.arity for f in facts}):
+    for arity, _, rel_ids, ent_ids in fact_groups(facts):
         codes = architecture[arity].codes
-        rel_ids, ent_ids = batch_ids([f for f in facts if f.arity == arity])
         B, n = ent_ids.shape
         X = pack_participants(embeddings, rel_ids, ent_ids)
         m, ds = X.shape[2], X.shape[3]
