@@ -296,8 +296,6 @@ def holdout_split(
     facts: list[RawFact], fraction: float, seed: int
 ) -> tuple[list[RawFact], list[RawFact]]:
     """Deterministically carve `fraction` of facts out as a validation set."""
-    if not 0 <= fraction < 1:
-        raise DataError(f"holdout fraction must be in [0, 1), got {fraction}")
     n_valid = int(len(facts) * fraction)
     order = np.random.default_rng(seed).permutation(len(facts))
     valid_idx = set(order[:n_valid].tolist())
@@ -318,8 +316,11 @@ def build_dataset(
 
     If `valid` is None and the holdout fraction is positive, a seeded
     slice of train becomes the validation split. In strict mode (default)
-    any entity or relation that never occurs in train is an error.
+    any entity or relation that never occurs in train is an error. The
+    holdout fraction must be in [0, 1) even when `valid` is given.
     """
+    if not 0 <= valid_holdout_fraction < 1:
+        raise DataError(f"holdout fraction must be in [0, 1), got {valid_holdout_fraction}")
     if not train:
         raise DataError("train split is empty")
     train = list(train)

@@ -29,7 +29,7 @@ import numpy as np
 from .blocks import ArchitectureSet, pack_participants
 from .data import Dataset, Fact, FilterIndex, build_filter_index, fact_groups
 from .embeddings import SegmentedEmbeddings
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import candidate_scores
 
 HITS_LEVELS = (1, 3, 10)
@@ -151,9 +151,14 @@ def rank_matrix(
     packed once and scored at every hole by one candidate_scores call,
     whose hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES,
     so memory does not grow with the number of facts; the chunk is then
-    ranked as one block (see _block_ranks).
+    ranked as one block (see _block_ranks). Embeddings holding a NaN or an
+    infinity raise NumericError: NaN scores would rank every truth first.
     """
     _check_tie_policy(tie_policy)
+    for matrix in (embeddings.entity_matrix, embeddings.relation_matrix):
+        # a NaN makes min and max NaN, an infinity one of them; neither makes a temporary
+        if not np.isfinite([matrix.min(initial=0.0), matrix.max(initial=0.0)]).all():
+            raise NumericError("cannot rank with embeddings that hold a NaN or an infinity")
     embeddings = SegmentedEmbeddings(
         embeddings.entity_matrix.astype(np.float64, copy=False),
         embeddings.relation_matrix.astype(np.float64, copy=False),

@@ -158,11 +158,7 @@ def grad_batch(
 
     The gradient takes the embeddings' dtype; the loss is a float64 sum.
     """
-    grads = GradientAccumulator.zeros_like(embeddings)
-    loss = 0.0
-    for arity, _, rel_ids, ent_ids in fact_groups(facts):
-        loss += _grad_arity_group(architecture[arity].codes, embeddings, rel_ids, ent_ids, grads)
-    return grads, loss
+    return grad_embeddings_mc([architecture], embeddings, facts)
 
 
 def grad_embeddings_mc(
@@ -174,16 +170,27 @@ def grad_embeddings_mc(
 
     Search passes its lam sampled sets; fixed training passes a one-element
     list. Returns the mean gradient and the mean summed batch loss. The
-    first set's gradient is the accumulator, and it is scaled only when
-    there are several sets.
+    facts become id arrays once; each set's gradient and loss are summed on
+    their own and then added in set order, and the sum is scaled only when
+    there are several sets. Equal sets give the one set's gradient and loss
+    exactly (three equal gradients summed and scaled by 1/3 would round).
     """
     if not architectures:
         raise ValueError("need at least one architecture")
-    total, loss = grad_batch(architectures[0], embeddings, facts)
-    for architecture in architectures[1:]:
-        grads, batch_l = grad_batch(architecture, embeddings, facts)
-        total += grads
-        loss += batch_l
+    if all(architecture == architectures[0] for architecture in architectures[1:]):
+        architectures = architectures[:1]
+    groups = fact_groups(facts)
+    total, loss = None, 0.0
+    for architecture in architectures:
+        grads, arch_loss = GradientAccumulator.zeros_like(embeddings), 0.0
+        for arity, _, rel_ids, ent_ids in groups:
+            codes = architecture[arity].codes
+            arch_loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
+        if total is None:
+            total = grads
+        else:
+            total += grads
+        loss += arch_loss
     if len(architectures) > 1:
         total.scale(1.0 / len(architectures))
     return total, loss / len(architectures)

@@ -4,9 +4,9 @@ Each block's code is drawn from a per-block categorical over the three
 ops; the 3 x K probability matrices (rows in op order -1, 0, +1) are
 ascended toward higher validation utility with an adaptive natural
 gradient whose trust-region scale follows the accumulated update signal.
-The loop alternates one embedding step on a training batch with one
-distribution step scored on a validation batch, then picks the most
-probable op per block.
+The loop alternates one embedding step on a training batch (the loop fixed
+training runs, training.RunState) with one distribution step scored on a
+validation batch, then picks the most probable op per block.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .blocks import ArchitectureSet, CoreAssignment, block_count
 from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
 from .data import json_text, write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
-from .errors import DataError, NumericError
+from .errors import DataError
 from .evaluation import rank_matrix
-from .model import AdamState, adam_step, grad_embeddings_mc
-from .training import TrainConfig, batch_rng, epoch_batches
+from .training import RunState, TrainConfig
 
 OP_CODES = np.array([-1, 0, 1], dtype=np.int8)  # row order of every theta matrix
 
@@ -353,7 +352,7 @@ def search_loop(
     Each iteration consumes one training mini-batch: lam architectures are
     sampled, the Monte-Carlo averaged gradient updates the embeddings, and
     the same samples are scored on a fresh validation batch to update the
-    distribution. Batch shuffling reads its own seeded stream so a one-hot
+    distribution. The embedding steps are training.RunState's, so a one-hot
     distribution reproduces fixed-architecture training bit for bit.
     """
     if not dataset.valid:
@@ -374,24 +373,21 @@ def search_loop(
     else:
         distribution = init_theta(max(max_arity, 2), M)
     state = AsngState.for_distribution(distribution, delta_init=search_config.theta_lr)
-    embeddings = init_embeddings(
-        vocab.entity_count, vocab.relation_count, dim, M, train_config.seed
+    run = RunState(
+        init_embeddings(vocab.entity_count, vocab.relation_count, dim, M, train_config.seed),
+        train_config,
     )
-    adam = AdamState.for_embeddings(embeddings)
-    shuffle_rng = batch_rng(train_config.seed)
     sample_rng = np.random.default_rng([search_config.seed, 1])
     trace = SearchTrace()
     valid, tie_policy = dataset.valid, search_config.tie_policy
+    samples: list = []  # this step's (architecture, statistic) draws
+
+    def draw() -> list[ArchitectureSet]:
+        samples[:] = sample_architectures(distribution, search_config.lam, sample_rng)
+        return [arch for arch, _ in samples]
 
     for epoch in range(search_config.search_epochs):
-        lr = train_config.learning_rate * train_config.decay_rate**epoch
-        for batch in epoch_batches(dataset.train, train_config.batch_size, shuffle_rng):
-            samples = sample_architectures(distribution, search_config.lam, sample_rng)
-            grads, loss = grad_embeddings_mc([arch for arch, _ in samples], embeddings, batch)
-            if not np.isfinite(loss):
-                raise NumericError(f"search loss diverged at epoch {epoch}: {loss}")
-            embeddings, adam = adam_step(embeddings, grads, adam, lr)
-
+        for _ in run.epoch(dataset.train, epoch, draw):
             if len(valid) > search_config.val_batch_size:
                 pick = sample_rng.choice(
                     len(valid), size=search_config.val_batch_size, replace=False
@@ -400,7 +396,7 @@ def search_loop(
             else:
                 val_batch = valid
             per_fact, utilities = zip(*(
-                validation_utility(embeddings, arch, val_batch, filter_index, tie_policy)
+                validation_utility(run.embeddings, arch, val_batch, filter_index, tie_policy)
                 for arch, _ in samples
             ))
             weights = per_fact_ranked_weights(np.stack(per_fact))
@@ -417,7 +413,7 @@ def search_loop(
                 trust=state.trust,
             )
 
-    return SearchResult(derive_final(distribution), distribution, trace, embeddings)
+    return SearchResult(derive_final(distribution), distribution, trace, run.embeddings)
 
 
 # ---------------------------------------------------------------------------

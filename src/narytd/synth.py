@@ -55,6 +55,10 @@ class PlantedSpec:
             raise DataError("facts_per_arity must be >= 1")
         if self.max_draws < 1:
             raise DataError(f"max_draws must be >= 1, got {self.max_draws}")
+        if not np.isfinite(self.margin):
+            raise DataError(f"margin must be finite, got {self.margin}")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise DataError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Fixed-architecture embedding training with Adam and early stopping."""
+"""The embedding loop (RunState) that fixed training and search share, and train_fixed."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class TrainConfig:
             raise DataError(
                 f"dimension {self.dimension} not divisible by segment count {self.segment_count}"
             )
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise DataError("batch_size must be >= 1 and max_epochs >= 0")
+        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1 or self.eval_every < 0:
+            raise DataError("batch_size and patience must be >= 1, max_epochs and eval_every >= 0")
         if not 0 <= self.learning_rate < np.inf:  # 0 is allowed: it freezes the embeddings
             raise DataError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 < self.decay_rate <= 1:
@@ -65,19 +65,28 @@ class TrainResult:
         return last[1] if last and last[0] == self.history[-1].epoch else None
 
 
-def batch_rng(seed: int) -> np.random.Generator:
-    """The mini-batch shuffle stream; kept apart from any sampling streams
-    so that architecture draws never perturb the batch order."""
-    return np.random.default_rng([seed, 0])
+class RunState:
+    """Embeddings, their Adam moments and the mini-batch shuffle stream
+    [seed, 0], which no architecture draw touches."""
 
+    def __init__(self, embeddings: SegmentedEmbeddings, config: TrainConfig):
+        self.embeddings, self.config = embeddings, config
+        self.adam = AdamState.for_embeddings(embeddings)
+        self.shuffle = np.random.default_rng([config.seed, 0])
 
-def epoch_batches(
-    facts: Sequence[Fact], batch_size: int, rng: np.random.Generator
-) -> Iterator[list[Fact]]:
-    """One shuffled pass over the facts in batches."""
-    order = rng.permutation(len(facts))
-    for start in range(0, len(facts), batch_size):
-        yield [facts[i] for i in order[start : start + batch_size]]
+    def epoch(self, facts: Sequence[Fact], epoch: int, draw: Callable[[], list]) -> Iterator[float]:
+        """One shuffled pass over the facts. Each batch takes one Adam step at rate
+        lr * decay_rate**epoch on the mean gradient over draw()'s architecture
+        sets, then yields its loss; a non-finite loss raises NumericError."""
+        lr = self.config.learning_rate * self.config.decay_rate**epoch
+        order, size = self.shuffle.permutation(len(facts)), self.config.batch_size
+        for start in range(0, len(facts), size):
+            batch = [facts[i] for i in order[start : start + size]]
+            grads, loss = grad_embeddings_mc(draw(), self.embeddings, batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"loss diverged at epoch {epoch}: {loss}")
+            self.embeddings, self.adam = adam_step(self.embeddings, grads, self.adam, lr)
+            yield loss
 
 
 def check_architecture_covers(architecture: ArchitectureSet, dataset: Dataset) -> None:
@@ -96,9 +105,8 @@ def train_fixed(
 ) -> TrainResult:
     """Train embeddings under one fixed architecture set.
 
-    Runs shuffled mini-batch epochs with per-epoch multiplicative learning
-    rate decay; stops early when validation MRR has not improved for
-    `patience` consecutive checks. Returns the final embeddings and the
+    Runs RunState epochs; stops early when validation MRR has not improved
+    for `patience` consecutive checks. Returns the final embeddings and the
     per-epoch loss history.
     """
     check_architecture_covers(architecture, dataset)
@@ -117,27 +125,18 @@ def train_fixed(
         )
     if dataset.valid and filter_index is None and config.eval_every > 0:
         filter_index = build_filter_index(dataset)
-    state = AdamState.for_embeddings(embeddings)
-    rng = batch_rng(config.seed)
+    run = RunState(embeddings, config)
     history: list[LossReport] = []
     valid_history: list[tuple[int, float]] = []
     best_mrr = -np.inf
     stale = 0
     n_train = len(dataset.train)
     for epoch in range(config.max_epochs):
-        lr = config.learning_rate * config.decay_rate**epoch
-        epoch_loss = 0.0
-        for batch in epoch_batches(dataset.train, config.batch_size, rng):
-            grads, loss = grad_embeddings_mc([architecture], embeddings, batch)
-            epoch_loss += loss
-            embeddings, state = adam_step(embeddings, grads, state, lr)
-        mean_loss = epoch_loss / n_train
-        if not np.isfinite(mean_loss):
-            raise NumericError(f"training loss diverged at epoch {epoch}: {mean_loss}")
+        mean_loss = sum(run.epoch(dataset.train, epoch, lambda: [architecture])) / n_train
         history.append(LossReport(epoch=epoch, mean_loss=mean_loss, facts=n_train))
         if dataset.valid and config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
             metrics = evaluate(
-                embeddings, architecture, dataset, "valid", filter_index, tie_policy
+                run.embeddings, architecture, dataset, "valid", filter_index, tie_policy
             )
             valid_history.append((epoch, metrics.mrr))
             if metrics.mrr > best_mrr:
@@ -150,4 +149,4 @@ def train_fixed(
                         "early stop at epoch %d: valid MRR flat for %d checks", epoch, stale
                     )
                     break
-    return TrainResult(embeddings, history, valid_history)
+    return TrainResult(run.embeddings, history, valid_history)

@@ -131,7 +131,9 @@ class TestSynth:
          ("dim", 0, "dimension"), ("dim", -8, "dimension"),
          ("nonzero-fraction", 2, "nonzero fraction"),
          ("nonzero-fraction", -1, "nonzero fraction"),
-         ("max-draws", 0, "max_draws"), ("max-draws", -5, "max_draws")],
+         ("max-draws", 0, "max_draws"), ("max-draws", -5, "max_draws"),
+         ("margin", "nan", "margin"), ("margin", "inf", "margin"), ("sigma", -1, "sigma"),
+         ("sigma", 0, "sigma"), ("sigma", "nan", "sigma")],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, flag, value, word):
         # each used to end in a traceback, except -1, which planted one block
@@ -188,7 +190,10 @@ class TestRunSettings:
         "command, flag, value",
         [("train", "--lr", -0.05), ("train", "--lr", "nan"), ("train", "--decay-rate", -1),
          ("train", "--decay-rate", 1.5), ("search", "--theta-lr", "nan"),
-         ("search", "--theta-lr", "inf")],
+         ("search", "--theta-lr", "inf"), ("train", "--patience", -3), ("train", "--patience", 0),
+         ("train", "--eval-every", -1),
+         # checked even though the dataset's valid.tsv leaves the fraction unused
+         ("train", "--holdout-fraction", "nan"), ("search", "--holdout-fraction", 1.5)],
     )
     def test_out_of_domain_value_exits_3(self, command, flag, value, planted_dir, tmp_path,
                                          capsys):
@@ -512,6 +517,22 @@ class TestMetricsArtifact:
             run("eval", "--checkpoint", ckpt, "--data", planted_dir, "--out", metrics_path)
         assert metrics_path.read_bytes() == b"old\n"
         assert os.listdir(metrics_path.parent) == ["metrics.json"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint_exits_4(self, value, planted_dir, tmp_path, capsys):
+        # NaN scores compare false, so every truth used to rank first: mrr 1.0, exit 0
+        ckpt = tmp_path / "cm"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        entities = ckpt / "entities.bin"
+        entities.write_bytes(np.full(entities.stat().st_size // 4, value, "<f4").tobytes())
+        metrics_path = tmp_path / "metrics.json"
+        assert run("eval", "--checkpoint", ckpt, "--data", planted_dir,
+                   "--out", metrics_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not metrics_path.exists()
 
     def test_eval_document_keys(self, tmp_path, capsys):
         # a memorization model of the one fact ranks it first at both holes

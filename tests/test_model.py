@@ -274,6 +274,28 @@ class TestGradients:
         one, _ = grad_embeddings_mc([arch], emb, facts)
         two, _ = grad_embeddings_mc([arch, arch], emb, facts)
         assert np.array_equal(one.entity, two.entity)
+        three, _ = grad_embeddings_mc([arch, arch, arch], emb, facts)
+        assert np.array_equal(one.entity, three.entity)
+
+    def test_mc_converts_the_batch_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        emb, first = random_model(rng)
+        archs = [first, random_model(rng)[1], random_model(rng)[1]]
+        facts = [Fact(0, (0, 1)), Fact(1, (2, 3, 4)), Fact(0, (3, 1))]
+        calls = []
+        monkeypatch.setattr(model, "fact_groups", lambda f: calls.append(f) or fact_groups(f))
+        total, loss = grad_embeddings_mc(archs, emb, facts)
+        assert len(calls) == 1
+        # each set's gradient and loss are still summed apart, then added in set order
+        want, want_loss = grad_batch(archs[0], emb, facts)
+        for arch in archs[1:]:
+            grads, arch_loss = grad_batch(arch, emb, facts)
+            want += grads
+            want_loss += arch_loss
+        want.scale(1.0 / 3)
+        assert np.array_equal(total.entity, want.entity)
+        assert np.array_equal(total.relation, want.relation)
+        assert loss == want_loss / 3
 
 
 def per_hole_grad_batch(architecture, embeddings, facts):

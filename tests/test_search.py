@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from narytd.search import (
     validation_utility,
 )
 from narytd.synth import PlantedSpec, generate_planted, random_truth
-from narytd.training import TrainConfig
+from narytd.training import TrainConfig, train_fixed
 
 
 def one_hot_distribution(architecture: ArchitectureSet) -> ArchitectureDistribution:
@@ -314,6 +315,14 @@ def planted_dataset():
     return generate_planted(spec).dataset
 
 
+@functools.cache
+def mixed_arity_case():
+    """A planted arity-2 and arity-3 dataset and its truth."""
+    truth = random_truth((2, 3), 2, seed=5)
+    spec = PlantedSpec(20, 2, (2, 3), 8, 2, truth, 40, 0.5, seed=5, sigma=0.8)
+    return generate_planted(spec).dataset, truth
+
+
 class TestSearchLoop:
     def test_zero_epochs_returns_tie_rule_architecture(self):
         ds = planted_dataset()
@@ -332,6 +341,28 @@ class TestSearchLoop:
         assert len(result.trace) == 3 * batches_per_epoch
         record = result.trace.records[0]
         assert {"iteration", "epoch", "utilities", "val_mrr", "theta_entropy", "sampled_ops"} <= set(record)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch_size=st.integers(8, 64),
+        epochs=st.integers(1, 3),
+        lam=st.integers(1, 3),
+        decay_rate=st.floats(0.5, 1.0),
+    )
+    def test_property_one_hot_search_equals_fixed_training(
+        self, seed, batch_size, epochs, lam, decay_rate
+    ):
+        ds, arch = mixed_arity_case()
+        tc = TrainConfig(dimension=8, segment_count=2, decay_rate=decay_rate,
+                         batch_size=batch_size, max_epochs=epochs, seed=seed, eval_every=0)
+        sc = SearchConfig(lam=lam, search_epochs=epochs, val_batch_size=4, seed=seed + 1)
+        fixed = train_fixed(arch, ds, tc)
+        searched = search_loop(ds, sc, tc, initial_theta=one_hot_distribution(arch))
+        assert np.array_equal(searched.embeddings.entity_matrix, fixed.embeddings.entity_matrix)
+        assert np.array_equal(
+            searched.embeddings.relation_matrix, fixed.embeddings.relation_matrix
+        )
 
     def test_requires_validation_split(self):
         ds = planted_dataset()
