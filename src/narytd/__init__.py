@@ -31,7 +31,7 @@ from .data import (
 )
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError, GenerationError, NumericError, ParseError
-from .evaluation import RankingMetrics, evaluate, filtered_rank, hits_at, mrr
+from .evaluation import RankingMetrics, evaluate, hits_at, mrr
 from .model import (
     AdamState,
     adam_step,

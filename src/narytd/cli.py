@@ -46,7 +46,7 @@ from .errors import DataError, NumericError
 from .evaluation import TIE_POLICIES, evaluate
 from .model import load_checkpoint, save_checkpoint
 from .search import SearchConfig, save_theta, search_loop
-from .synth import PlantedSpec, generate_planted, random_truth
+from .synth import PlantedSpec, check_nonzero_fraction, generate_planted, random_truth
 from .training import TrainConfig, train_fixed
 
 SPLITS = ("train", "valid", "test")
@@ -203,6 +203,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         arities = tuple(int(a) for a in str(cfg["arities"]).split(","))
     except ValueError:
         raise DataError(f"arities must be comma-separated integers, got {cfg['arities']!r}") from None
+    check_nonzero_fraction(cfg["nonzero_fraction"])  # also with a truth file, which ignores it
     if cfg["truth_arch"]:
         truth = load_architecture(cfg["truth_arch"])
     else:

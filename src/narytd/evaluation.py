@@ -7,12 +7,15 @@ before ranking, except the query's own answer.
 Ranking is one block routine, _block_ranks: it counts, per row of a
 score matrix, the candidates above the truth and subtracts the known-true
 fillers among them, so no candidate mask is built per query. rank_matrix
-feeds it the hole-major score matrix of each same-arity chunk of facts
+ranks a list of architecture sets on the same facts, as a search step
+scores its lam samples: it converts the facts once, and per same-arity
+chunk of facts it packs the participants and looks up the known fillers
+(FilterIndex.fillers, (rows, cols) arrays with no Python per query) once
+for all sets. Each distinct set then gets one hole-major score matrix
 (model.candidate_scores: every hole of every fact in the chunk), with
 chunks sized so that matrix stays within _SCORE_BYTES, which bounds
-evaluation memory whatever the split size. FilterIndex.fillers gives a
-chunk's known fillers as (rows, cols) arrays, with no Python per query;
-filtered_rank is the one-row form of _block_ranks.
+evaluation memory whatever the split size; a set equal to an earlier one
+takes that set's ranks.
 
 Ranking computes in float64 whatever the embeddings' dtype: rank_matrix
 upcasts the (float32) trained embeddings once per call, so ranks equal a
@@ -22,7 +25,7 @@ float64 computation on the stored values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ HITS_LEVELS = (1, 3, 10)
 TIE_POLICIES = ("optimistic", "pessimistic")
 
 # Upper bound on one chunk's stacked (holes x candidates) float64 score
-# matrix in query_ranks, in bytes.
+# matrix in rank_matrix, in bytes.
 _SCORE_BYTES = 32 << 20
 
 
@@ -93,28 +96,6 @@ def _block_ranks(
     return rank
 
 
-def filtered_rank(
-    scores: np.ndarray,
-    true_entity: int,
-    filter_set: Iterable[int],
-    tie_policy: str = "optimistic",
-) -> int:
-    """Rank of the true filler after dropping known-true competitors.
-
-    Optimistic ties: score-equal survivors do not push the rank down.
-    Pessimistic ties: they all count as ranked above the truth.
-    """
-    _check_tie_policy(tie_policy)
-    scores = np.asarray(scores)
-    if not 0 <= true_entity < len(scores):
-        raise DataError(f"true entity {true_entity} outside candidate range")
-    cols = np.unique(np.fromiter(filter_set, dtype=np.int64))
-    rank = _block_ranks(
-        scores[None, :], np.array([true_entity]), np.zeros_like(cols), cols, tie_policy
-    )
-    return int(rank[0])
-
-
 def mrr(ranks: Sequence[int]) -> float:
     if len(ranks) == 0:
         raise DataError("cannot compute MRR of zero ranks")
@@ -140,19 +121,22 @@ def aggregate(ranks: Sequence[int]) -> RankingMetrics:
 
 def rank_matrix(
     embeddings: SegmentedEmbeddings,
-    architecture: ArchitectureSet,
+    architectures: Sequence[ArchitectureSet],
     facts: Sequence[Fact],
     filter_index: FilterIndex,
     tie_policy: str = "optimistic",
 ) -> np.ndarray:
-    """Filtered ranks as a (facts, max arity) matrix; a position a fact lacks holds 0.
+    """Filtered ranks as a (sets, facts, max arity) array; a position a fact lacks holds 0.
 
     Facts are scored in float64, in same-arity row chunks. Each chunk is
-    packed once and scored at every hole by one candidate_scores call,
-    whose hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES,
-    so memory does not grow with the number of facts; the chunk is then
-    ranked as one block (see _block_ranks). Embeddings holding a NaN or an
-    infinity raise NumericError: NaN scores would rank every truth first.
+    packed and its fillers looked up once for all sets, then scored at
+    every hole by one candidate_scores call per distinct set, whose
+    hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES and is
+    the only one alive, so memory grows neither with the number of facts
+    nor with the number of sets; the chunk is then ranked as one block (see
+    _block_ranks). A set equal to an earlier one takes its ranks, which is
+    exact. Embeddings holding a NaN or an infinity raise NumericError: NaN
+    scores would rank every truth first.
     """
     _check_tie_policy(tie_policy)
     for matrix in (embeddings.entity_matrix, embeddings.relation_matrix):
@@ -164,17 +148,24 @@ def rank_matrix(
         embeddings.relation_matrix.astype(np.float64, copy=False),
         embeddings.segment_count,
     )
+    first = [architectures.index(architecture) for architecture in architectures]
+    distinct = sorted(set(first))
     groups = fact_groups(facts)
-    ranks = np.zeros((len(facts), max((g[0] for g in groups), default=0)), dtype=np.int64)
+    max_arity = max((g[0] for g in groups), default=0)
+    ranks = np.zeros((len(architectures), len(facts), max_arity), dtype=np.int64)
     for arity, index, rel_ids, ent_ids in groups:
-        assignment = architecture[arity]
+        assignments = [architectures[i][arity] for i in distinct]
         step = max(1, _SCORE_BYTES // (8 * arity * embeddings.entity_count))
         for start in range(0, len(index), step):
-            rel, ent = rel_ids[start : start + step], ent_ids[start : start + step]
-            Z = candidate_scores(assignment, embeddings, pack_participants(embeddings, rel, ent))
-            rank = _block_ranks(Z, ent.T.ravel(), *filter_index.fillers(rel, ent), tie_policy)
-            ranks[index[start : start + step], :arity] = rank.reshape(arity, len(ent)).T
-    return ranks
+            rows, rel, ent = (a[start : start + step] for a in (index, rel_ids, ent_ids))
+            X = pack_participants(embeddings, rel, ent)
+            truth, fillers = ent.T.ravel(), filter_index.fillers(rel, ent)
+            for i, assignment in zip(distinct, assignments):
+                Z = candidate_scores(assignment, embeddings, X)
+                rank = _block_ranks(Z, truth, *fillers, tie_policy)
+                del Z  # one score matrix at a time
+                ranks[i, rows, :arity] = rank.reshape(arity, len(ent)).T
+    return ranks[first]
 
 
 def query_ranks(
@@ -185,7 +176,7 @@ def query_ranks(
     tie_policy: str = "optimistic",
 ) -> list[int]:
     """Filtered ranks for every (fact, position) query, by fact then position."""
-    ranks = rank_matrix(embeddings, architecture, facts, filter_index, tie_policy)
+    ranks = rank_matrix(embeddings, [architecture], facts, filter_index, tie_policy)[0]
     return ranks[ranks > 0].tolist()
 
 

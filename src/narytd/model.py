@@ -149,18 +149,6 @@ def _grad_arity_group(
     return loss
 
 
-def grad_batch(
-    architecture: ArchitectureSet,
-    embeddings: SegmentedEmbeddings,
-    facts: Sequence[Fact],
-) -> tuple[GradientAccumulator, float]:
-    """Analytic gradient of the summed multi-class log loss over a batch.
-
-    The gradient takes the embeddings' dtype; the loss is a float64 sum.
-    """
-    return grad_embeddings_mc([architecture], embeddings, facts)
-
-
 def grad_embeddings_mc(
     architectures: Sequence[ArchitectureSet],
     embeddings: SegmentedEmbeddings,

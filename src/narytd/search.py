@@ -6,7 +6,11 @@ ascended toward higher validation utility with an adaptive natural
 gradient whose trust-region scale follows the accumulated update signal.
 The loop alternates one embedding step on a training batch (the loop fixed
 training runs, training.RunState) with one distribution step scored on a
-validation batch, then picks the most probable op per block.
+validation batch, then picks the most probable op per block. Both steps
+take the lam sampled sets as one list: model.grad_embeddings_mc converts
+the training batch once, and validation_utility ranks the validation
+batch for every set in one evaluation.rank_matrix call, which converts
+and looks up the batch once and scores each distinct set once.
 """
 
 from __future__ import annotations
@@ -148,25 +152,26 @@ def derive_final(distribution: ArchitectureDistribution) -> ArchitectureSet:
 
 def validation_utility(
     embeddings: SegmentedEmbeddings,
-    architecture: ArchitectureSet,
+    architectures: Sequence[ArchitectureSet],
     facts: Sequence[Fact],
     filter_index: FilterIndex,
     tie_policy: str = "optimistic",
-) -> tuple[np.ndarray, float]:
-    """Per-fact utilities (mean reciprocal filtered rank over positions).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-fact utilities (mean reciprocal filtered rank over positions) of each set.
 
-    Returns the per-fact array in input order plus its mean. Each fact's
-    reciprocal ranks are summed in position order, one position at a time
-    across all facts, so every sum rounds as a per-fact loop would.
+    Returns a (sets, facts) array, facts in input order, and its (sets,)
+    row means. The facts are ranked for every set by one rank_matrix call.
+    Each fact's reciprocal ranks are summed in position order, one position
+    at a time across all facts, so every sum rounds as a per-fact loop would.
     """
     if not facts:
         raise DataError("validation batch is empty")
-    ranks = rank_matrix(embeddings, architecture, facts, filter_index, tie_policy)
-    utilities = np.zeros(len(facts))
-    for recips in 1.0 / np.where(ranks > 0, ranks, np.inf).T:  # a lacking position adds 0
-        utilities += recips
-    utilities /= np.count_nonzero(ranks, axis=1)
-    return utilities, float(utilities.mean())
+    ranks = rank_matrix(embeddings, architectures, facts, filter_index, tie_policy)
+    utilities = np.zeros(ranks.shape[:2])
+    for recips in 1.0 / np.where(ranks > 0, ranks, np.inf).transpose(2, 0, 1):
+        utilities += recips  # a lacking position adds 0
+    utilities /= np.count_nonzero(ranks, axis=2)
+    return utilities, utilities.mean(axis=1)
 
 
 def per_fact_ranked_weights(per_fact_utilities: np.ndarray) -> np.ndarray:
@@ -380,11 +385,12 @@ def search_loop(
     sample_rng = np.random.default_rng([search_config.seed, 1])
     trace = SearchTrace()
     valid, tie_policy = dataset.valid, search_config.tie_policy
-    samples: list = []  # this step's (architecture, statistic) draws
+    archs: list[ArchitectureSet] = []  # this step's draws
+    stats: list[SufficientStatistic] = []  # and their statistics
 
     def draw() -> list[ArchitectureSet]:
-        samples[:] = sample_architectures(distribution, search_config.lam, sample_rng)
-        return [arch for arch, _ in samples]
+        archs[:], stats[:] = zip(*sample_architectures(distribution, search_config.lam, sample_rng))
+        return archs
 
     for epoch in range(search_config.search_epochs):
         for _ in run.epoch(dataset.train, epoch, draw):
@@ -395,21 +401,18 @@ def search_loop(
                 val_batch = [valid[i] for i in pick]
             else:
                 val_batch = valid
-            per_fact, utilities = zip(*(
-                validation_utility(run.embeddings, arch, val_batch, filter_index, tie_policy)
-                for arch, _ in samples
-            ))
-            weights = per_fact_ranked_weights(np.stack(per_fact))
-            direction = theta_gradient(
-                [(stat, float(w)) for (_, stat), w in zip(samples, weights)], distribution
+            per_fact, utilities = validation_utility(
+                run.embeddings, archs, val_batch, filter_index, tie_policy
             )
+            weights = per_fact_ranked_weights(per_fact)
+            direction = theta_gradient(list(zip(stats, weights.tolist())), distribution)
             distribution, state = asng_update(distribution, direction, state)
             trace.append(
                 epoch=epoch,
-                utilities=[float(u) for u in utilities],
-                val_mrr=float(np.mean(utilities)),
+                utilities=utilities.tolist(),
+                val_mrr=float(utilities.mean()),
                 theta_entropy=distribution.entropy(),
-                sampled_ops=[stat.op_counts() for _, stat in samples],
+                sampled_ops=[stat.op_counts() for stat in stats],
                 trust=state.trust,
             )
 

@@ -46,8 +46,9 @@ class PlantedSpec:
             raise DataError(
                 f"dimension {self.dimension} not divisible by segment count {self.segment_count}"
             )
-        if not self.arities or any(n < 2 for n in self.arities):
-            raise DataError("arities must be a non-empty set of values >= 2")
+        arities = self.arities
+        if not arities or min(arities) < 2 or len(set(arities)) < len(arities):
+            raise DataError(f"arities must be a non-empty set of distinct values >= 2, got {arities}")
         for n in self.arities:
             if n not in self.assignments:
                 raise DataError(f"ground truth has no assignment for arity {n}")
@@ -131,6 +132,11 @@ def _collect_positives(
     return positives
 
 
+def check_nonzero_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise DataError(f"nonzero fraction must be in [0, 1], got {fraction}")
+
+
 def random_truth(
     arities: tuple[int, ...],
     segment_count: int,
@@ -140,8 +146,7 @@ def random_truth(
     """A random hidden assignment with at least one nonzero block per arity."""
     if segment_count < 1:
         raise DataError(f"segment count must be >= 1, got {segment_count}")
-    if not 0.0 <= nonzero_fraction <= 1.0:
-        raise DataError(f"nonzero fraction must be in [0, 1], got {nonzero_fraction}")
+    check_nonzero_fraction(nonzero_fraction)
     rng = np.random.default_rng(seed)
     assignments = {}
     max_arity = max(arities)

@@ -29,7 +29,7 @@ from narytd.data import (
 )
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.evaluation import evaluate, query_ranks
-from narytd.model import grad_batch
+from narytd.model import grad_embeddings_mc
 from narytd.search import (
     ArchitectureDistribution,
     AsngState,
@@ -150,7 +150,7 @@ def test_criterion_3_gradient_fidelity():
                 Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=max_n)))
                 for _ in range(2)
             ]
-            grads, _ = grad_batch(arch, emb, facts)
+            grads, _ = grad_embeddings_mc([arch], emb, facts)
             for mat, grad in (
                 (emb.entity_matrix, grads.entity),
                 (emb.relation_matrix, grads.relation),

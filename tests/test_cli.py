@@ -127,7 +127,8 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flag, value, word",
-        [("arities", "2,x", "arities"), ("segments", 0, "segment count"),
+        [("arities", "2,x", "arities"), ("arities", "2,2", "arities"),
+         ("arities", "3,2,3", "arities"), ("segments", 0, "segment count"),
          ("dim", 0, "dimension"), ("dim", -8, "dimension"),
          ("nonzero-fraction", 2, "nonzero fraction"),
          ("nonzero-fraction", -1, "nonzero fraction"),
@@ -141,6 +142,18 @@ class TestSynth:
         assert run(*synth_args(out, **{flag: value})) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", 2, -1])
+    def test_truth_file_with_malformed_fraction_exits_3(self, tmp_path, capsys, value):
+        # a truth file makes the fraction unused, but it is echoed into config.json
+        # and must be in range there too; nothing is written
+        assert run(*synth_args(tmp_path / "first")) == 0
+        out = tmp_path / "x"
+        truth = tmp_path / "first" / "truth.json"
+        assert run(*synth_args(out, **{"truth-arch": truth, "nonzero-fraction": value})) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "nonzero fraction" in err
         assert not out.exists()
 
 

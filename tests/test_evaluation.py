@@ -23,39 +23,48 @@ from narytd.data import (
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
 from narytd.evaluation import (
+    _block_ranks,
     aggregate,
     evaluate,
-    filtered_rank,
     hits_at,
     mrr,
     query_ranks,
+    rank_matrix,
 )
 from narytd.model import candidate_scores
 
 
+def block_ranks(Z, truth, known, tie_policy="optimistic"):
+    """_block_ranks of score rows Z, with each row's known fillers given as a set."""
+    pairs = [(b, c) for b, cols in enumerate(known) for c in sorted(cols)]
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    Z = np.asarray(Z, dtype=np.float64)
+    return _block_ranks(Z, np.asarray(truth), rows, cols, tie_policy).tolist()
+
+
 class TestFilteredRank:
     def test_top_candidate(self):
-        assert filtered_rank(np.array([3.0, 2.0, 1.0]), 0, {0}) == 1
+        assert block_ranks([[3.0, 2.0, 1.0]], [0], [{0}]) == [1]
 
     def test_filter_removes_strictly_better(self):
-        assert filtered_rank(np.array([3.0, 2.0, 1.0]), 2, {0, 2}) == 2
+        assert block_ranks([[3.0, 2.0, 1.0]], [2], [{0, 2}]) == [2]
 
     def test_all_ties_optimistic(self):
-        scores = np.zeros(5)
-        for truth in range(5):
-            assert filtered_rank(scores, truth, {truth}) == 1
+        # five queries of one block, each row's truth at its own column
+        assert block_ranks(np.zeros((5, 5)), range(5), [{t} for t in range(5)]) == [1] * 5
 
     def test_all_ties_pessimistic(self):
-        scores = np.zeros(5)
-        assert filtered_rank(scores, 2, {2}, tie_policy="pessimistic") == 5
+        assert block_ranks(np.zeros((1, 5)), [2], [{2}], tie_policy="pessimistic") == [5]
 
     def test_truth_never_filtered(self):
-        scores = np.array([1.0, 5.0, 2.0])
-        assert filtered_rank(scores, 1, {0, 1, 2}) == 1
+        assert block_ranks([[1.0, 5.0, 2.0]], [1], [{0, 1, 2}]) == [1]
 
     def test_bad_policy(self):
+        fact = Fact(0, (0, 1))
+        fi = build_filter_index(Dataset(Vocabulary(["a", "b", "c"], ["r"]), [fact], [], []))
+        emb = SegmentedEmbeddings(np.zeros((3, 2)), np.zeros((1, 2)), 1)
         with pytest.raises(DataError):
-            filtered_rank(np.zeros(3), 0, {0}, tie_policy="hopeful")
+            rank_matrix(emb, [preset_set("cp", 2, 1)], [fact], fi, tie_policy="hopeful")
 
 
 class TestAggregates:
@@ -296,3 +305,77 @@ class TestEvaluate:
         )
         with pytest.raises(DataError):
             evaluate(emb, arch, ds, "test")
+
+
+def random_architecture(rng, arities=(2, 3), segment_count=2):
+    return ArchitectureSet({
+        n: CoreAssignment(
+            n, segment_count, rng.choice([-1, 0, 1], size=min(n, segment_count) ** (n + 1))
+        )
+        for n in arities
+    })
+
+
+class TestRankMatrix:
+    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 3 * 5, 32 << 20])
+    def test_list_equals_single_sets_stacked(self, score_bytes, monkeypatch):
+        # a repeated set takes its first occurrence's ranks; chunks of 1
+        # fact, of 7 and 5 facts, and whole groups
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", score_bytes)
+        rng = np.random.default_rng(8)
+        ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
+        emb = SegmentedEmbeddings(
+            rng.integers(-1, 2, size=(ds.vocabulary.entity_count, 4)).astype(np.float64),
+            rng.integers(-1, 2, size=(ds.vocabulary.relation_count, 4)).astype(np.float64),
+            2,
+        )
+        a, b = random_architecture(rng), random_architecture(rng)
+        fi = build_filter_index(ds)
+        facts = ds.test + ds.valid + ds.train
+        for policy in ("optimistic", "pessimistic"):
+            got = rank_matrix(emb, [a, b, a.copy()], facts, fi, policy)
+            want = np.stack([rank_matrix(emb, [s], facts, fi, policy)[0] for s in (a, b, a)])
+            assert got.dtype == np.int64 and got.shape == (3, len(facts), 3)
+            assert np.array_equal(got, want)
+            assert query_ranks(emb, b, facts, fi, policy) == want[1][want[1] > 0].tolist()
+
+    def test_equal_sets_scored_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 8 * 7 * 3 * 5)  # 2 chunks per group
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, n_e=7, n_r=2, facts=40, arities=(2, 3))
+        emb = SegmentedEmbeddings(rng.normal(size=(7, 4)), rng.normal(size=(2, 4)), 2)
+        fi = build_filter_index(ds)
+        calls = []
+        monkeypatch.setattr(evaluation, "candidate_scores",
+                            lambda *args: calls.append(args[0]) or candidate_scores(*args))
+        a, b = random_architecture(rng), random_architecture(rng)
+        rank_matrix(emb, [a], ds.train, fi)
+        chunks = len(calls)
+        assert chunks > 2  # more than one chunk per arity group
+        for sets, distinct in (([a, a, a], 1), ([a, b, a], 2), ([b, a, b, a], 2)):
+            calls.clear()
+            rank_matrix(emb, sets, ds.train, fi)
+            assert len(calls) == distinct * chunks
+
+    def test_peak_memory_flat_in_set_count(self, monkeypatch):
+        # one score matrix of at most _SCORE_BYTES is alive at a time, however
+        # many sets are ranked: a second one alive would double the peak
+        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 1 << 20)
+        rng = np.random.default_rng(10)
+        n_e, n_r = 4000, 5
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
+        facts = [Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=2)))
+                 for _ in range(200)]
+        fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
+                                                   [f"r{i}" for i in range(n_r)]), facts, [], []))
+        sets = [random_architecture(rng, arities=(2,)) for _ in range(4)]
+        peaks = []
+        for lam in (1, 4):
+            tracemalloc.start()
+            try:
+                rank_matrix(emb, sets[:lam], facts, fi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0]
+        assert max(peaks) < 1.5 * (1 << 20)

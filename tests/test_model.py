@@ -21,7 +21,6 @@ from narytd.model import (
     GradientAccumulator,
     adam_step,
     candidate_scores,
-    grad_batch,
     grad_embeddings_mc,
     load_checkpoint,
     save_checkpoint,
@@ -100,8 +99,8 @@ class TestComputeDtype:
         ]
         X = pack_participants(emb32, *same_arity_ids(facts[:1]))
         assert X.dtype == kernels.context_batch(arch[2].codes, X, [1])[0].dtype == np.float32
-        g32, loss32 = grad_batch(arch, emb32, facts)
-        g64, loss64 = grad_batch(arch, emb64, facts)
+        g32, loss32 = grad_embeddings_mc([arch], emb32, facts)
+        g64, loss64 = grad_embeddings_mc([arch], emb64, facts)
         for got, want in ((g32.entity, g64.entity), (g32.relation, g64.relation)):
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
@@ -160,20 +159,20 @@ class TestCandidateScores:
 
 
 class TestMulticlassLogLoss:
-    """The summed loss grad_batch returns."""
+    """The summed loss grad_embeddings_mc returns for one set."""
 
     def test_zero_assignment_uniform_loss(self):
         rng = np.random.default_rng(4)
         emb, _ = random_model(rng, n_e=7)
         for n in (2, 3):
             arch = ArchitectureSet({k: zero_assignment(k, 2) for k in range(2, n + 1)})
-            _, loss = grad_batch(arch, emb, [Fact(0, tuple(range(n)))])
+            _, loss = grad_embeddings_mc([arch], emb, [Fact(0, tuple(range(n)))])
             assert loss == pytest.approx(n * np.log(7), rel=1e-12)
 
     def test_single_candidate_zero_loss(self):
         rng = np.random.default_rng(5)
         emb, arch = random_model(rng, n_e=1)
-        assert grad_batch(arch, emb, [Fact(0, (0, 0))])[1] == pytest.approx(0.0)
+        assert grad_embeddings_mc([arch], emb, [Fact(0, (0, 0))])[1] == pytest.approx(0.0)
 
     def test_hand_computed_toy(self):
         # d=2, M=2, one +1 block at (0,0,0): score = r[0]*e1[0]*e2[0]
@@ -188,7 +187,7 @@ class TestMulticlassLogLoss:
             -2.0 + np.log(np.exp(2.0) + np.exp(4.0) + np.exp(-2.0))
             - 2.0 + np.log(np.exp(1.0) + np.exp(2.0) + np.exp(-1.0))
         )
-        _, got = grad_batch(ArchitectureSet({2: assignment}), emb, [fact])
+        _, got = grad_embeddings_mc([ArchitectureSet({2: assignment})], emb, [fact])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_loss_nonnegative(self):
@@ -196,7 +195,7 @@ class TestMulticlassLogLoss:
         emb, arch = random_model(rng)
         for _ in range(20):
             fact = Fact(int(rng.integers(2)), tuple(int(x) for x in rng.integers(5, size=2)))
-            assert grad_batch(arch, emb, [fact])[1] >= 0.0
+            assert grad_embeddings_mc([arch], emb, [fact])[1] >= 0.0
 
 
 def brute_loss(architecture, embeddings, facts):
@@ -221,7 +220,7 @@ class TestGradients:
         rng = np.random.default_rng(7)
         emb, arch = random_model(rng, n_e=4, n_r=2, d=4, M=2)
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3, 1))]
-        grads, _ = grad_batch(arch, emb, facts)
+        grads, _ = grad_embeddings_mc([arch], emb, facts)
         h = 1e-5
         for mat, grad in ((emb.entity_matrix, grads.entity), (emb.relation_matrix, grads.relation)):
             fd = np.zeros_like(mat)
@@ -240,14 +239,14 @@ class TestGradients:
         rng = np.random.default_rng(8)
         emb, arch = random_model(rng)
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3)), Fact(0, (4, 0, 1))]
-        _, loss = grad_batch(arch, emb, facts)
+        _, loss = grad_embeddings_mc([arch], emb, facts)
         assert loss == pytest.approx(brute_loss(arch, emb, facts), rel=1e-10)
 
     def test_zero_assignment_zero_gradient(self):
         rng = np.random.default_rng(9)
         emb, _ = random_model(rng)
         arch = ArchitectureSet({2: zero_assignment(2, 2), 3: zero_assignment(3, 2)})
-        grads, loss = grad_batch(arch, emb, [Fact(0, (0, 1)), Fact(1, (0, 1, 2))])
+        grads, loss = grad_embeddings_mc([arch], emb, [Fact(0, (0, 1)), Fact(1, (0, 1, 2))])
         assert np.all(grads.entity == 0.0) and np.all(grads.relation == 0.0)
         assert loss == pytest.approx(2 * np.log(5) + 3 * np.log(5))
 
@@ -287,9 +286,9 @@ class TestGradients:
         total, loss = grad_embeddings_mc(archs, emb, facts)
         assert len(calls) == 1
         # each set's gradient and loss are still summed apart, then added in set order
-        want, want_loss = grad_batch(archs[0], emb, facts)
+        want, want_loss = grad_embeddings_mc([archs[0]], emb, facts)
         for arch in archs[1:]:
-            grads, arch_loss = grad_batch(arch, emb, facts)
+            grads, arch_loss = grad_embeddings_mc([arch], emb, facts)
             want += grads
             want_loss += arch_loss
         want.scale(1.0 / 3)
@@ -354,7 +353,7 @@ class TestStackedGradient:
             Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=n)))
             for n in (2, 3, 4, 2, 3, 4, 4, 2, 3, 3, 2, 4)
         ]
-        grads, loss = grad_batch(arch, emb, facts)
+        grads, loss = grad_embeddings_mc([arch], emb, facts)
         ref_ent, ref_rel, ref_loss = per_hole_grad_batch(arch, emb, facts)
         np.testing.assert_allclose(grads.entity, ref_ent, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.relation, ref_rel, rtol=1e-12, atol=1e-12)
@@ -416,7 +415,7 @@ class TestAdam:
             state = AdamState.for_embeddings(emb)
             for _ in range(5):
                 facts = [Fact(0, tuple(int(x) for x in rng.integers(4, size=2)))]
-                grads, _ = grad_batch(arch, emb, facts)
+                grads, _ = grad_embeddings_mc([arch], emb, facts)
                 adam_step(emb, grads, state, 0.05)
             results.append(emb.entity_matrix.copy())
         assert np.array_equal(results[0], results[1])

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from narytd import evaluation
 from narytd.blocks import ArchitectureSet, CoreAssignment, zero_assignment
-from narytd.data import Dataset, Fact, Vocabulary, build_filter_index
+from narytd.data import Dataset, Fact, FilterIndex, Vocabulary, build_filter_index
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
 from narytd.evaluation import query_ranks
@@ -251,8 +252,8 @@ class TestValidationUtility:
         facts = [Fact(0, (0, 0))]
         ds = Dataset(vocab, facts, facts, facts)
         emb = SegmentedEmbeddings(np.ones((1, 4)), np.ones((1, 4)), 2)
-        utilities, mean = validation_utility(
-            emb, ArchitectureSet({2: zero_assignment(2, 2)}), facts, build_filter_index(ds)
+        (utilities,), (mean,) = validation_utility(
+            emb, [ArchitectureSet({2: zero_assignment(2, 2)})], facts, build_filter_index(ds)
         )
         assert np.all(utilities == 1.0) and mean == 1.0
 
@@ -264,9 +265,9 @@ class TestValidationUtility:
         emb = SegmentedEmbeddings(rng.normal(size=(6, 4)), rng.normal(size=(1, 4)), 2)
         fi = build_filter_index(ds)
         arch = ArchitectureSet({2: zero_assignment(2, 2)})
-        utilities, _ = validation_utility(emb, arch, facts, fi, tie_policy="optimistic")
+        (utilities,), _ = validation_utility(emb, [arch], facts, fi, tie_policy="optimistic")
         assert np.all(utilities == 1.0)  # uniform scores, optimistic ties
-        utilities, _ = validation_utility(emb, arch, facts, fi, tie_policy="pessimistic")
+        (utilities,), _ = validation_utility(emb, [arch], facts, fi, tie_policy="pessimistic")
         # every surviving candidate ties: rank = entity_count - filtered-out
         assert np.all(utilities < 0.5)
 
@@ -277,36 +278,53 @@ class TestValidationUtility:
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3))]
         emb, arch = memorization_model(facts, vocab)
         ds = Dataset(vocab, facts, facts, facts)
-        utilities, mean = validation_utility(emb, arch, facts, build_filter_index(ds))
+        _, (mean,) = validation_utility(emb, [arch], facts, build_filter_index(ds))
         assert mean == 1.0
 
     def test_empty_batch_errors(self):
         with pytest.raises(DataError):
-            validation_utility(None, None, [], None)
+            validation_utility(None, [], [], None)
 
     def test_equals_per_fact_loop_bitwise(self):
-        # mixed arities in mixed order: each utility rounds as the per-fact
-        # sum of reciprocal ranks in position order, divided by the arity
+        # mixed arities in mixed order, three sets of which two are equal: each
+        # utility rounds as the per-fact sum of reciprocal ranks in position
+        # order, divided by the arity, and each set's mean as its row's mean
         rng = np.random.default_rng(2)
         n_e = 30
         vocab = Vocabulary([f"e{i}" for i in range(n_e)], ["r0", "r1"])
         facts = [Fact(int(rng.integers(2)), tuple(int(x) for x in rng.integers(n_e, size=n)))
                  for n in rng.integers(2, 5, size=300)]
         emb = SegmentedEmbeddings(rng.normal(size=(n_e, 6)), rng.normal(size=(2, 6)), 3)
-        arch = ArchitectureSet({
-            n: CoreAssignment(n, 3, rng.choice([-1, 0, 1], size=min(n, 3) ** (n + 1)))
-            for n in (2, 3, 4)
-        })
+        a, b = (
+            ArchitectureSet({
+                n: CoreAssignment(n, 3, rng.choice([-1, 0, 1], size=min(n, 3) ** (n + 1)))
+                for n in (2, 3, 4)
+            })
+            for _ in range(2)
+        )
         fi = build_filter_index(Dataset(vocab, facts, [], []))
-        ranks = iter(query_ranks(emb, arch, facts, fi))
-        want = np.empty(len(facts))
-        for i, fact in enumerate(facts):
-            recip = 0.0
-            for _ in range(fact.arity):
-                recip += 1.0 / next(ranks)
-            want[i] = recip / fact.arity
-        utilities, mean = validation_utility(emb, arch, facts, fi)
-        assert np.array_equal(utilities, want) and mean == float(want.mean())
+        utilities, means = validation_utility(emb, [a, b, a], facts, fi)
+        assert utilities.shape == (3, len(facts)) and means.shape == (3,)
+        for arch, got, mean in zip((a, b, a), utilities, means):
+            ranks = iter(query_ranks(emb, arch, facts, fi))
+            want = np.empty(len(facts))
+            for i, fact in enumerate(facts):
+                recip = 0.0
+                for _ in range(fact.arity):
+                    recip += 1.0 / next(ranks)
+                want[i] = recip / fact.arity
+            assert np.array_equal(got, want) and mean == float(want.mean())
+
+    def test_list_equals_single_sets(self):
+        ds, truth = mixed_arity_case()
+        rng = np.random.default_rng(3)
+        emb = SegmentedEmbeddings(rng.normal(size=(20, 8)), rng.normal(size=(2, 8)), 2)
+        sets = [truth, derive_final(init_theta(3, 2)), truth.copy()]
+        fi = build_filter_index(ds)
+        utilities, means = validation_utility(emb, sets, ds.test, fi, "pessimistic")
+        for s, got, mean in zip(sets, utilities, means):
+            (want,), (want_mean,) = validation_utility(emb, [s], ds.test, fi, "pessimistic")
+            assert np.array_equal(got, want) and mean == want_mean
 
 
 def planted_dataset():
@@ -363,6 +381,35 @@ class TestSearchLoop:
         assert np.array_equal(
             searched.embeddings.relation_matrix, fixed.embeddings.relation_matrix
         )
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_step_converts_validation_batch_once(self, lam, monkeypatch):
+        # one step over the whole train split and the whole 8-fact validation
+        # split, whose arity-2 and arity-3 groups are one chunk each
+        calls = {"fact_groups": 0, "pack_participants": 0, "fillers": 0, "candidate_scores": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("fact_groups", "pack_participants", "candidate_scores"):
+            counted(evaluation, name)
+        counted(FilterIndex, "fillers")
+        ds, truth = mixed_arity_case()
+        tc = TrainConfig(dimension=8, segment_count=2, batch_size=len(ds.train), seed=0)
+        sc = SearchConfig(lam=lam, search_epochs=1, val_batch_size=len(ds.valid), seed=0)
+        for initial, distinct in ((None, lam), (one_hot_distribution(truth), 1)):
+            calls.update(dict.fromkeys(calls, 0))
+            result = search_loop(ds, sc, tc, initial_theta=initial)
+            assert len(result.trace) == 1 and len(result.trace.records[0]["utilities"]) == lam
+            # uniform theta draws distinct sets here; one-hot theta draws one set lam times
+            assert calls == {"fact_groups": 1, "pack_participants": 2, "fillers": 2,
+                             "candidate_scores": 2 * distinct}
 
     def test_requires_validation_split(self):
         ds = planted_dataset()

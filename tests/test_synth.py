@@ -95,6 +95,15 @@ def test_spec_validation():
         base_spec(assignments=truth2, arities=(2, 4))  # missing arity 4 truth
 
 
+def test_spec_rejects_repeated_arities():
+    # each listed arity is planted on its own, so a repeated one would plant
+    # its facts twice and could put a fact in two splits
+    truth = random_truth((2, 3), 2, seed=0)
+    for arities in ((2, 2), (2, 3, 2)):
+        with pytest.raises(DataError, match="distinct"):
+            base_spec(assignments=truth, arities=arities)
+
+
 def test_default_sigma_is_inverse_sqrt_dimension():
     # the default scale keeps entries near 1/sqrt(d); margins must then be
     # far smaller for generation to succeed
