@@ -187,7 +187,9 @@ def pack_participants(
 
     relation_ids: (B,) int; entity_ids: (B, n) int. Participant 0 is the
     relation; only the first m = min(n, M) segments are gathered. X takes
-    the embeddings' dtype.
+    the embeddings' dtype. Rows are gathered through the entity_matrix and
+    relation_matrix views, so an entity id past the entity rows raises
+    IndexError instead of reading a relation row.
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
@@ -195,7 +197,7 @@ def pack_participants(
     m = min(n, embeddings.segment_count)
     ds = embeddings.segment_length
     used = m * ds
-    X = np.empty((B, n + 1, m, ds), dtype=embeddings.entity_matrix.dtype)
+    X = np.empty((B, n + 1, m, ds), dtype=embeddings.matrix.dtype)
     X[:, 0] = embeddings.relation_matrix[relation_ids, :used].reshape(B, m, ds)
     for q in range(n):
         X[:, q + 1] = embeddings.entity_matrix[entity_ids[:, q], :used].reshape(B, m, ds)

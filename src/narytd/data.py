@@ -1,8 +1,9 @@
 """N-ary fact ingestion: TSV parsing, vocabularies, splits, filter indexes.
 
 Canonical input is one fact per line, `relation<TAB>e1<TAB>...<TAB>en`
-with n >= 2, UTF-8, `#` starting a comment line. A dataset directory
-holds `train.tsv`, optional `valid.tsv`, and `test.tsv`.
+with n >= 2, UTF-8 (a leading byte order mark is ignored), `#` starting
+a comment line. A dataset directory holds `train.tsv`, optional
+`valid.tsv`, and `test.tsv`.
 
 fact_groups is the one conversion of facts into per-arity id arrays;
 FilterIndex keeps a bytewise-sorted np.void table per arity, read by
@@ -216,7 +217,8 @@ def require_file(path: str | Path, what: str) -> Path:
 
 def parse_facts_file(path: str | Path) -> list[RawFact]:
     path = require_file(path, "fact file")
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # utf-8-sig drops a leading byte order mark, which would join the first relation name
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_facts(fh, source=str(path))
 
 

@@ -1,16 +1,12 @@
-"""Segmented entity/relation embedding matrices."""
+"""Segmented entity/relation embeddings, stored as one parameter matrix."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import compute_array
 
 
-@dataclass
 class SegmentedEmbeddings:
     """Entity and relation embeddings whose rows split into M equal segments.
 
@@ -18,41 +14,46 @@ class SegmentedEmbeddings:
     participating row, so low-arity facts train a shared prefix of the
     vectors while high-arity facts also reach the tail segments.
 
-    Both matrices share one dtype, which is the dtype training computes
-    in: float32 when both are given as float32, float64 otherwise.
+    Both kinds of row live in one (n_e + n_r, d) `matrix`, entity rows
+    first, so relation r is row n_e + r; a gradient and each Adam moment
+    is one array of that shape. The constructor copies its two arguments
+    into it, and `entity_matrix` and `relation_matrix` are views of its
+    row blocks, through which writes reach the embeddings. The matrix is
+    float32 when both arguments are float32 and float64 otherwise; that
+    dtype is the one training computes in.
     """
 
-    entity_matrix: np.ndarray  # (n_e, d) float32 or float64
-    relation_matrix: np.ndarray  # (n_r, d), same dtype as entity_matrix
-    segment_count: int
-
-    def __post_init__(self):
-        self.entity_matrix = compute_array(self.entity_matrix)
-        self.relation_matrix = compute_array(self.relation_matrix)
-        if self.entity_matrix.dtype != self.relation_matrix.dtype:
-            self.entity_matrix = self.entity_matrix.astype(np.float64)
-            self.relation_matrix = self.relation_matrix.astype(np.float64)
-        if self.entity_matrix.ndim != 2 or self.relation_matrix.ndim != 2:
+    def __init__(self, entity_matrix, relation_matrix, segment_count: int):
+        ent, rel = np.asarray(entity_matrix), np.asarray(relation_matrix)
+        if ent.ndim != 2 or rel.ndim != 2:
             raise DataError("embedding matrices must be 2-d")
-        if self.entity_matrix.shape[1] != self.relation_matrix.shape[1]:
+        if ent.shape[1] != rel.shape[1]:
             raise DataError("entity and relation dimensions differ")
-        if self.segment_count < 1 or self.dimension % self.segment_count != 0:
+        dtype = np.float32 if ent.dtype == rel.dtype == np.float32 else np.float64
+        self.matrix = np.concatenate([ent, rel], dtype=dtype, casting="unsafe")
+        self.entity_count = len(ent)
+        self.segment_count = segment_count
+        if segment_count < 1 or self.dimension % segment_count != 0:
             raise DataError(
                 f"dimension {self.dimension} not divisible by "
-                f"segment count {self.segment_count}"
+                f"segment count {segment_count}"
             )
 
     @property
-    def dimension(self) -> int:
-        return self.entity_matrix.shape[1]
+    def entity_matrix(self) -> np.ndarray:
+        return self.matrix[: self.entity_count]
 
     @property
-    def entity_count(self) -> int:
-        return self.entity_matrix.shape[0]
+    def relation_matrix(self) -> np.ndarray:
+        return self.matrix[self.entity_count :]
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def relation_count(self) -> int:
-        return self.relation_matrix.shape[0]
+        return len(self.matrix) - self.entity_count
 
     @property
     def segment_length(self) -> int:
@@ -63,9 +64,7 @@ class SegmentedEmbeddings:
         return min(arity, self.segment_count) * self.segment_length
 
     def copy(self) -> "SegmentedEmbeddings":
-        return SegmentedEmbeddings(
-            self.entity_matrix.copy(), self.relation_matrix.copy(), self.segment_count
-        )
+        return SegmentedEmbeddings(self.entity_matrix, self.relation_matrix, self.segment_count)
 
 
 def init_embeddings(

@@ -139,13 +139,15 @@ def rank_matrix(
     scores would rank every truth first.
     """
     _check_tie_policy(tie_policy)
-    for matrix in (embeddings.entity_matrix, embeddings.relation_matrix):
-        # a NaN makes min and max NaN, an infinity one of them; neither makes a temporary
-        if not np.isfinite([matrix.min(initial=0.0), matrix.max(initial=0.0)]).all():
-            raise NumericError("cannot rank with embeddings that hold a NaN or an infinity")
+    matrix = embeddings.matrix
+    # a NaN makes min and max NaN, an infinity one of them; neither makes a temporary
+    if not np.isfinite([matrix.min(initial=0.0), matrix.max(initial=0.0)]).all():
+        raise NumericError("cannot rank with embeddings that hold a NaN or an infinity")
+    # float64 relation rows make the constructor cast the entity rows
+    # straight into its one float64 matrix
     embeddings = SegmentedEmbeddings(
-        embeddings.entity_matrix.astype(np.float64, copy=False),
-        embeddings.relation_matrix.astype(np.float64, copy=False),
+        embeddings.entity_matrix,
+        embeddings.relation_matrix.astype(np.float64),
         embeddings.segment_count,
     )
     first = [architectures.index(architecture) for architecture in architectures]

@@ -11,8 +11,11 @@ call over holes 1..n gives their contexts hole-major, reshaped to one
 gradient sweeps the candidates with one matmul against it, and
 candidate_scores, which filtered ranking uses, returns that matmul.
 
-Scores, gradients and Adam moments take the embeddings' dtype (float32
-for trained embeddings, see init_embeddings); loss sums are float64.
+A gradient and each Adam moment are one array shaped like the
+embeddings' matrix (entity rows, then relation rows; see
+SegmentedEmbeddings). Scores, gradients and Adam moments take the
+embeddings' dtype (float32 for trained embeddings, see init_embeddings);
+loss sums are float64.
 """
 
 from __future__ import annotations
@@ -45,31 +48,6 @@ def candidate_scores(
     return C @ embeddings.entity_matrix[:, : m * ds].T
 
 
-@dataclass
-class GradientAccumulator:
-    """Dense gradients congruent to the embedding matrices."""
-
-    entity: np.ndarray
-    relation: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, embeddings: SegmentedEmbeddings) -> "GradientAccumulator":
-        return cls(
-            np.zeros_like(embeddings.entity_matrix),
-            np.zeros_like(embeddings.relation_matrix),
-        )
-
-    def __iadd__(self, other: "GradientAccumulator") -> "GradientAccumulator":
-        self.entity += other.entity
-        self.relation += other.relation
-        return self
-
-    def scale(self, factor: float) -> "GradientAccumulator":
-        self.entity *= factor
-        self.relation *= factor
-        return self
-
-
 # Upper bound on one row block of the in-place softmax, in bytes: the
 # block's max, exp, sum and divide passes then run in cache.
 _SOFTMAX_BLOCK_BYTES = 2 << 20
@@ -92,7 +70,7 @@ def _grad_arity_group(
     embeddings: SegmentedEmbeddings,
     relation_ids: np.ndarray,
     entity_ids: np.ndarray,
-    grads: GradientAccumulator,
+    grads: np.ndarray,
 ) -> float:
     """Accumulate the loss gradient of one same-arity group; return its loss.
 
@@ -106,15 +84,16 @@ def _grad_arity_group(
     mixture G @ E are one matmul each. The remaining
     participants of each query get their gradient from contexts in which
     the hole holds that mixture (multilinearity): one context_batch call
-    per hole, scattered once for the relation and once for the entities.
+    per hole, whose relation and entity rows are scattered into `grads`
+    (shaped like embeddings.matrix) by one call.
     """
     B, n = entity_ids.shape
     X = pack_participants(embeddings, relation_ids, entity_ids)
     m, ds = X.shape[2], X.shape[3]
     used = m * ds
+    n_e = embeddings.entity_count
     E_used = embeddings.entity_matrix[:, :used]
-    ent_grad = grads.entity[:, :used]
-    rel_grad = grads.relation[:, :used]
+    grad = grads[:, :used]
     C = kernels.context_batch(codes, X, range(1, n + 1)).reshape(n * B, used)
     Z = C @ E_used.T
     rows = np.arange(n * B)
@@ -134,7 +113,7 @@ def _grad_arity_group(
     Z[rows, true_ids] -= 1.0
     # candidates at the hole: every entity row takes its softmax share
     # ((C.T @ Z).T: on two OpenBLAS threads Z.T @ C takes ~28 MB more peak memory)
-    ent_grad += (C.T @ Z).T
+    grad[:n_e] += (C.T @ Z).T
     # remaining slots see the softmax-weighted candidate mixture, which
     # by multilinearity stands in for the whole candidate sweep
     virtual = (Z @ E_used).reshape(n, B, m, ds)
@@ -144,8 +123,9 @@ def _grad_arity_group(
         Xv[:, p + 1] = virtual[p]
         slots = [q for q in range(n) if q != p]
         ctx = kernels.context_batch(codes, Xv, [0] + [q + 1 for q in slots]).reshape(n * B, used)
-        _scatter_rows(rel_grad, relation_ids, ctx[:B])
-        _scatter_rows(ent_grad, entity_ids[:, slots].T.ravel(), ctx[B:])
+        # ctx holds the relation's B rows, then each slot's B rows
+        ids = np.concatenate([n_e + relation_ids, entity_ids[:, slots].T.ravel()])
+        _scatter_rows(grad, ids, ctx)
     return loss
 
 
@@ -153,34 +133,36 @@ def grad_embeddings_mc(
     architectures: Sequence[ArchitectureSet],
     embeddings: SegmentedEmbeddings,
     facts: Sequence[Fact],
-) -> tuple[GradientAccumulator, float]:
+) -> tuple[np.ndarray, float]:
     """Monte-Carlo gradient averaged over the given architecture sets.
 
     Search passes its lam sampled sets; fixed training passes a one-element
-    list. Returns the mean gradient and the mean summed batch loss. The
-    facts become id arrays once; each set's gradient and loss are summed on
-    their own and then added in set order, and the sum is scaled only when
-    there are several sets. Equal sets give the one set's gradient and loss
-    exactly (three equal gradients summed and scaled by 1/3 would round).
+    list. Returns the mean gradient, shaped like embeddings.matrix, and the
+    mean summed batch loss. The facts become id arrays once, and each
+    distinct set's gradient and loss are computed once. With several
+    distinct sets, the sets' gradients and losses are added in sample
+    order, a repeated set's once per draw, and the sum is scaled. Draws of
+    one distinct set give its gradient and loss exactly (three equal
+    gradients summed and scaled by 1/3 would round).
     """
     if not architectures:
         raise ValueError("need at least one architecture")
-    if all(architecture == architectures[0] for architecture in architectures[1:]):
-        architectures = architectures[:1]
+    first = [architectures.index(architecture) for architecture in architectures]
     groups = fact_groups(facts)
-    total, loss = None, 0.0
-    for architecture in architectures:
-        grads, arch_loss = GradientAccumulator.zeros_like(embeddings), 0.0
+    computed = {}
+    for i in dict.fromkeys(first):
+        grads, loss = np.zeros_like(embeddings.matrix), 0.0
         for arity, _, rel_ids, ent_ids in groups:
-            codes = architecture[arity].codes
-            arch_loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
-        if total is None:
-            total = grads
-        else:
-            total += grads
-        loss += arch_loss
-    if len(architectures) > 1:
-        total.scale(1.0 / len(architectures))
+            codes = architectures[i][arity].codes
+            loss += _grad_arity_group(codes, embeddings, rel_ids, ent_ids, grads)
+        computed[i] = grads, loss
+    if len(computed) == 1:
+        return computed[0]
+    total, loss = computed[0][0].copy(), computed[0][1]  # a copy: the set may repeat
+    for i in first[1:]:
+        total += computed[i][0]
+        loss += computed[i][1]
+    total *= 1.0 / len(architectures)
     return total, loss / len(architectures)
 
 
@@ -195,22 +177,16 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, in the dtype of their parameters."""
+    """Adam's first and second moments, shaped like and in the dtype of the
+    embeddings' matrix."""
 
-    m_entity: np.ndarray
-    v_entity: np.ndarray
-    m_relation: np.ndarray
-    v_relation: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_embeddings(cls, embeddings: SegmentedEmbeddings) -> "AdamState":
-        return cls(
-            np.zeros_like(embeddings.entity_matrix),
-            np.zeros_like(embeddings.entity_matrix),
-            np.zeros_like(embeddings.relation_matrix),
-            np.zeros_like(embeddings.relation_matrix),
-        )
+        return cls(np.zeros_like(embeddings.matrix), np.zeros_like(embeddings.matrix))
 
 
 # Upper bound on one row block of an Adam update, in bytes: the block's
@@ -220,14 +196,14 @@ _ADAM_BLOCK_BYTES = 256 * 1024
 
 def adam_step(
     embeddings: SegmentedEmbeddings,
-    grads: GradientAccumulator,
+    grads: np.ndarray,
     state: AdamState,
     learning_rate: float,
 ) -> tuple[SegmentedEmbeddings, AdamState]:
     """One bias-corrected Adam update, applied in place.
 
-    The update runs over row blocks of at most _ADAM_BLOCK_BYTES with two
-    scratch arrays per parameter matrix and the operation order of
+    The update runs over row blocks of embeddings.matrix of at most
+    _ADAM_BLOCK_BYTES, with two scratch arrays, and the operation order of
     param -= lr * (m / c1) / (sqrt(v / c2) + eps), so its results are
     bit-identical to that formula evaluated on whole matrices. Every
     operation writes into the parameter's dtype, so float32 parameters
@@ -237,28 +213,25 @@ def adam_step(
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for param, grad, m, v in (
-        (embeddings.entity_matrix, grads.entity, state.m_entity, state.v_entity),
-        (embeddings.relation_matrix, grads.relation, state.m_relation, state.v_relation),
-    ):
-        rows = max(1, _ADAM_BLOCK_BYTES // (param.itemsize * param.shape[1]))
-        step_buf = np.empty((min(rows, len(param)), param.shape[1]), dtype=param.dtype)
-        denom_buf = np.empty_like(step_buf)
-        for r0 in range(0, len(param), rows):
-            block = slice(r0, r0 + rows)
-            p, g, m_b, v_b = param[block], grad[block], m[block], v[block]
-            step, denom = step_buf[: len(p)], denom_buf[: len(p)]
-            m_b *= ADAM_BETA1
-            m_b += np.multiply(1.0 - ADAM_BETA1, g, out=step)
-            v_b *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, g, out=step)
-            v_b += np.multiply(step, g, out=step)
-            np.divide(m_b, c1, out=step)
-            np.multiply(learning_rate, step, out=step)
-            np.divide(v_b, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            p -= np.divide(step, denom, out=step)
+    param = embeddings.matrix
+    rows = max(1, _ADAM_BLOCK_BYTES // (param.itemsize * param.shape[1]))
+    step_buf = np.empty((min(rows, len(param)), param.shape[1]), dtype=param.dtype)
+    denom_buf = np.empty_like(step_buf)
+    for r0 in range(0, len(param), rows):
+        block = slice(r0, r0 + rows)
+        p, g, m_b, v_b = param[block], grads[block], state.m[block], state.v[block]
+        step, denom = step_buf[: len(p)], denom_buf[: len(p)]
+        m_b *= ADAM_BETA1
+        m_b += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        v_b *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=step)
+        v_b += np.multiply(step, g, out=step)
+        np.divide(m_b, c1, out=step)
+        np.multiply(learning_rate, step, out=step)
+        np.divide(v_b, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        p -= np.divide(step, denom, out=step)
     return embeddings, state
 
 
@@ -296,7 +269,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, ArchitectureSet, dict]:
-    """Embeddings (writable float32), architecture and meta of a checkpoint."""
+    """Embeddings (float32, copied from the files), architecture and meta of a checkpoint."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = load_json_object(meta_path, "checkpoint meta")
@@ -311,10 +284,11 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     )
     if ent.size != n_e * d or rel.size != n_r * d:
         raise DataError("checkpoint matrix sizes do not match meta.json")
-    embeddings = SegmentedEmbeddings(
-        ent.reshape(n_e, d).astype(np.float32),
-        rel.reshape(n_r, d).astype(np.float32),
-        segments,
-    )
+    embeddings = SegmentedEmbeddings(ent.reshape(n_e, d), rel.reshape(n_r, d), segments)
     architecture = load_architecture(directory / architecture_file)
+    if architecture.segment_count != segments:
+        raise DataError(
+            f"{directory / architecture_file} has segment count {architecture.segment_count}, "
+            f"{what} has {segments}"
+        )
     return embeddings, architecture, meta

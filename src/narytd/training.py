@@ -99,7 +99,6 @@ def train_fixed(
     architecture: ArchitectureSet,
     dataset: Dataset,
     config: TrainConfig,
-    initial_embeddings: SegmentedEmbeddings | None = None,
     filter_index: FilterIndex | None = None,
     tie_policy: str = "optimistic",
 ) -> TrainResult:
@@ -113,16 +112,13 @@ def train_fixed(
     if architecture.segment_count != config.segment_count:
         raise DataError("architecture and config segment counts differ")
     vocab = dataset.vocabulary
-    if initial_embeddings is not None:
-        embeddings = initial_embeddings
-    else:
-        embeddings = init_embeddings(
-            vocab.entity_count,
-            vocab.relation_count,
-            config.dimension,
-            config.segment_count,
-            config.seed,
-        )
+    embeddings = init_embeddings(
+        vocab.entity_count,
+        vocab.relation_count,
+        config.dimension,
+        config.segment_count,
+        config.seed,
+    )
     if dataset.valid and filter_index is None and config.eval_every > 0:
         filter_index = build_filter_index(dataset)
     run = RunState(embeddings, config)

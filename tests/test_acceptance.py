@@ -152,8 +152,8 @@ def test_criterion_3_gradient_fidelity():
             ]
             grads, _ = grad_embeddings_mc([arch], emb, facts)
             for mat, grad in (
-                (emb.entity_matrix, grads.entity),
-                (emb.relation_matrix, grads.relation),
+                (emb.entity_matrix, grads[:n_e]),
+                (emb.relation_matrix, grads[n_e:]),
             ):
                 fd = np.zeros_like(mat)
                 for idx in np.ndindex(*mat.shape):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from narytd import cli, data, evaluation, training
-from narytd.blocks import load_architecture, memorization_model
+from narytd.blocks import load_architecture, memorization_model, preset_set, save_architecture
 from narytd.cli import main
 from narytd.data import load_dataset_dir
 from narytd.evaluation import evaluate
@@ -426,6 +426,17 @@ class TestMalformedArtifacts:
         (ckpt / "meta.json").write_text(json.dumps(meta))
         rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
         self.assert_data_error(rc, capsys, name)
+
+    def test_architecture_segment_count_differs_from_meta(self, planted_dir, tmp_path, capsys):
+        # an M=1 architecture in an M=2 checkpoint used to end in a reshape ValueError
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        max_arity = load_architecture(ckpt / "architecture.json").max_arity
+        save_architecture(ckpt / "architecture.json", preset_set("cp", max_arity, 1))
+        rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
+        self.assert_data_error(rc, capsys, "segment count 1")
 
     def test_checkpoint_without_matrices(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

@@ -192,6 +192,16 @@ def test_fact_file_not_utf8_names_file_and_line(tmp_path):
         parse_facts_file(path)
 
 
+def test_leading_bom_is_ignored(tmp_path):
+    # a BOM used to become part of the first relation's name
+    text = b"r1\ta\tb\n# comment\nr1\tb\tc\td\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert parse_facts_file(marked) == parse_facts_file(plain)
+    assert parse_facts_file(marked)[0] == ("r1", ("a", "b"))
+
+
 def test_group_by_arity_mixed():
     facts = [Fact(0, (0, 1)), Fact(0, (1, 2)), Fact(1, (0, 1, 2, 3)), Fact(0, (2, 0))]
     groups = group_by_arity(facts)

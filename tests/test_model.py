@@ -18,7 +18,6 @@ from narytd.model import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    GradientAccumulator,
     adam_step,
     candidate_scores,
     grad_embeddings_mc,
@@ -69,6 +68,32 @@ class TestInitEmbeddings:
         assert abs(entries.mean()) <= 3.0 * sigma / 1000.0
 
 
+class TestOneMatrix:
+    """Entity and relation rows are row blocks of one copied matrix."""
+
+    def test_layout_and_copy(self):
+        ent, rel = np.arange(6.0).reshape(3, 2), np.arange(6.0, 10.0).reshape(2, 2)
+        emb = SegmentedEmbeddings(ent, rel, 1)
+        assert emb.matrix.shape == (5, 2) and emb.entity_count == 3 and emb.relation_count == 2
+        assert np.array_equal(emb.matrix, np.concatenate([ent, rel]))
+        assert np.array_equal(emb.matrix[emb.entity_count + 1], rel[1])  # relation r is row n_e + r
+        # the constructor copies: the given arrays are not aliased
+        emb.matrix[:] = 0.0
+        assert ent[0, 1] == 1.0 and rel[0, 0] == 6.0
+        # the views write through to the one matrix, and copy() shares nothing
+        other = emb.copy()
+        emb.entity_matrix[2] += 1.0
+        emb.relation_matrix[0, 1] = 7.0
+        assert emb.matrix[2].tolist() == [1.0, 1.0] and emb.matrix[3, 1] == 7.0
+        assert not other.matrix.any()
+
+    def test_entity_id_past_entity_rows_raises(self):
+        # a gather over the one matrix would read relation row 0 silently
+        emb = SegmentedEmbeddings(np.ones((3, 4)), np.ones((2, 4)), 2)
+        with pytest.raises(IndexError):
+            pack_participants(emb, np.array([0]), np.array([[0, 3]]))
+
+
 class TestComputeDtype:
     @pytest.mark.parametrize(
         "ent, rel, expected",
@@ -78,6 +103,7 @@ class TestComputeDtype:
             (np.float16, np.float16, np.float64),
             (np.int64, np.int64, np.float64),
             (np.float32, np.float64, np.float64),
+            (np.float32, np.float16, np.float64),
         ],
     )
     def test_embeddings_keep_float32_or_float64(self, ent, rel, expected):
@@ -101,7 +127,7 @@ class TestComputeDtype:
         assert X.dtype == kernels.context_batch(arch[2].codes, X, [1])[0].dtype == np.float32
         g32, loss32 = grad_embeddings_mc([arch], emb32, facts)
         g64, loss64 = grad_embeddings_mc([arch], emb64, facts)
-        for got, want in ((g32.entity, g64.entity), (g32.relation, g64.relation)):
+        for got, want in ((g32[:9], g64[:9]), (g32[9:], g64[9:])):
             assert got.dtype == np.float32
             assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
         assert type(loss32) is float and loss32 == pytest.approx(loss64, rel=1e-4)
@@ -111,14 +137,10 @@ class TestComputeDtype:
         emb = init_embeddings(5, 2, 4, 2, seed=0)
         state = AdamState.for_embeddings(emb)
         for _ in range(3):
-            grads = GradientAccumulator(
-                rng.normal(size=(5, 4)).astype(np.float32),
-                rng.normal(size=(2, 4)).astype(np.float32),
-            )
+            grads = rng.normal(size=(7, 4)).astype(np.float32)
             # a numpy float64 rate must not promote anything written in place
             adam_step(emb, grads, state, np.float64(0.05))
-        for array in (emb.entity_matrix, emb.relation_matrix, state.m_entity,
-                      state.v_entity, state.m_relation, state.v_relation):
+        for array in (emb.entity_matrix, emb.relation_matrix, state.m, state.v):
             assert array.dtype == np.float32
 
 
@@ -222,7 +244,7 @@ class TestGradients:
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3, 1))]
         grads, _ = grad_embeddings_mc([arch], emb, facts)
         h = 1e-5
-        for mat, grad in ((emb.entity_matrix, grads.entity), (emb.relation_matrix, grads.relation)):
+        for mat, grad in ((emb.entity_matrix, grads[:4]), (emb.relation_matrix, grads[4:])):
             fd = np.zeros_like(mat)
             for idx in np.ndindex(*mat.shape):
                 orig = mat[idx]
@@ -247,7 +269,7 @@ class TestGradients:
         emb, _ = random_model(rng)
         arch = ArchitectureSet({2: zero_assignment(2, 2), 3: zero_assignment(3, 2)})
         grads, loss = grad_embeddings_mc([arch], emb, [Fact(0, (0, 1)), Fact(1, (0, 1, 2))])
-        assert np.all(grads.entity == 0.0) and np.all(grads.relation == 0.0)
+        assert np.all(grads == 0.0)
         assert loss == pytest.approx(2 * np.log(5) + 3 * np.log(5))
 
     def test_mc_with_one_hot_distribution_equals_fixed(self):
@@ -262,8 +284,7 @@ class TestGradients:
         sampled, _ = dist.sample_with_stats(np.random.default_rng(0))
         mc, mc_loss = grad_embeddings_mc([sampled], emb, facts)
         fixed, fixed_loss = grad_embeddings_mc([arch], emb, facts)
-        assert np.array_equal(mc.entity, fixed.entity)
-        assert np.array_equal(mc.relation, fixed.relation)
+        assert np.array_equal(mc, fixed)
         assert mc_loss == fixed_loss
 
     def test_mc_mean_over_identical_samples_is_stable(self):
@@ -272,9 +293,9 @@ class TestGradients:
         facts = [Fact(0, (0, 1))]
         one, _ = grad_embeddings_mc([arch], emb, facts)
         two, _ = grad_embeddings_mc([arch, arch], emb, facts)
-        assert np.array_equal(one.entity, two.entity)
+        assert np.array_equal(one, two)
         three, _ = grad_embeddings_mc([arch, arch, arch], emb, facts)
-        assert np.array_equal(one.entity, three.entity)
+        assert np.array_equal(one, three)
 
     def test_mc_converts_the_batch_once(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -291,9 +312,30 @@ class TestGradients:
             grads, arch_loss = grad_embeddings_mc([arch], emb, facts)
             want += grads
             want_loss += arch_loss
-        want.scale(1.0 / 3)
-        assert np.array_equal(total.entity, want.entity)
-        assert np.array_equal(total.relation, want.relation)
+        want *= 1.0 / 3
+        assert np.array_equal(total, want)
+        assert loss == want_loss / 3
+
+    def test_mc_computes_a_repeated_set_once(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        emb, a = random_model(rng)
+        b = random_model(rng)[1]
+        facts = [Fact(0, (0, 1)), Fact(1, (2, 3, 4)), Fact(0, (3, 1))]  # two arity groups
+        per_set = {key: grad_embeddings_mc([arch], emb, facts) for key, arch in (("a", a), ("b", b))}
+        calls = []
+        group_grad = model._grad_arity_group
+        monkeypatch.setattr(
+            model, "_grad_arity_group", lambda *args: calls.append(args) or group_grad(*args)
+        )
+        total, loss = grad_embeddings_mc([a, b, a], emb, facts)
+        assert len(calls) == 4  # each distinct set once per arity group
+        # the cached gradients and losses are added in sample order
+        want, want_loss = per_set["a"][0].copy(), per_set["a"][1]
+        for key in "ba":
+            want += per_set[key][0]
+            want_loss += per_set[key][1]
+        want *= 1.0 / 3
+        assert np.array_equal(total, want)
         assert loss == want_loss / 3
 
 
@@ -355,43 +397,40 @@ class TestStackedGradient:
         ]
         grads, loss = grad_embeddings_mc([arch], emb, facts)
         ref_ent, ref_rel, ref_loss = per_hole_grad_batch(arch, emb, facts)
-        np.testing.assert_allclose(grads.entity, ref_ent, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grads.relation, ref_rel, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[:n_e], ref_ent, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[n_e:], ref_rel, rtol=1e-12, atol=1e-12)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
 
 
 class TestAdam:
     @pytest.mark.parametrize("block_bytes", [1, 8 * 6 * 3, 1 << 20])
     def test_matches_out_of_place_formula_bitwise(self, block_bytes, monkeypatch):
-        # row blocks of 1, 3 (a short last block) and all rows
+        # row blocks of 1, 3 (a short last block) and all rows, over 7 entity
+        # and 3 relation rows
         monkeypatch.setattr(model, "_ADAM_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(12)
         emb = SegmentedEmbeddings(rng.normal(size=(7, 6)), rng.normal(size=(3, 6)), 2)
-        ref = [emb.entity_matrix.copy(), emb.relation_matrix.copy()]
-        ref_m = [np.zeros_like(p) for p in ref]
-        ref_v = [np.zeros_like(p) for p in ref]
+        param = emb.matrix.copy()
+        m, v = np.zeros_like(param), np.zeros_like(param)
         state = AdamState.for_embeddings(emb)
         lr = 0.03
         for t in range(1, 17):
-            grads = GradientAccumulator(rng.normal(size=(7, 6)), rng.normal(size=(3, 6)))
-            adam_step(emb, grads, state, lr)
+            grad = rng.normal(size=(10, 6))
+            adam_step(emb, grad, state, lr)
             c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-            for param, grad, m, v in zip(ref, (grads.entity, grads.relation), ref_m, ref_v):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad * grad
-                param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        assert np.array_equal(emb.entity_matrix, ref[0])
-        assert np.array_equal(emb.relation_matrix, ref[1])
-        assert np.array_equal(state.m_entity, ref_m[0]) and np.array_equal(state.v_entity, ref_v[0])
-        assert np.array_equal(state.m_relation, ref_m[1]) and np.array_equal(state.v_relation, ref_v[1])
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert np.array_equal(emb.matrix, param)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
     def test_zero_gradient_keeps_parameters(self):
         emb = init_embeddings(3, 2, 4, 2, seed=0)
         before_e = emb.entity_matrix.copy()
         state = AdamState.for_embeddings(emb)
-        grads = GradientAccumulator.zeros_like(emb)
+        grads = np.zeros_like(emb.matrix)
         adam_step(emb, grads, state, learning_rate=0.1)
         assert np.array_equal(emb.entity_matrix, before_e)
         assert state.step == 1
@@ -400,7 +439,7 @@ class TestAdam:
         # scalar parameter, g=1: bias correction makes |update| = lr
         emb = SegmentedEmbeddings(np.array([[0.5]]), np.array([[0.5]]), 1)
         state = AdamState.for_embeddings(emb)
-        grads = GradientAccumulator(np.array([[1.0]]), np.array([[0.0]]))
+        grads = np.array([[1.0], [0.0]])
         adam_step(emb, grads, state, learning_rate=0.01)
         update = emb.entity_matrix[0, 0] - 0.5
         assert update < 0

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from narytd.blocks import ArchitectureSet, preset_set, zero_assignment
-from narytd.data import Dataset, Fact, Vocabulary, build_filter_index
+from narytd.data import Dataset, Fact, Vocabulary
 from narytd.embeddings import init_embeddings
 from narytd.errors import DataError
-from narytd.evaluation import evaluate
 from narytd.synth import PlantedSpec, generate_planted, random_truth
 from narytd.training import TrainConfig, train_fixed
 
@@ -81,16 +80,3 @@ def test_early_stopping_on_flat_validation():
     result = train_fixed(preset_set("cp", 2, 2), ds, config)
     assert len(result.history) == 4  # first check + patience exhausted
     assert len(result.valid_mrr_history) == 4
-
-
-def test_memorization_init_zero_epochs_evaluates_perfectly():
-    from narytd.blocks import memorization_model
-
-    vocab = Vocabulary([f"e{i}" for i in range(4)], ["r0", "r1"])
-    facts = [Fact(0, (0, 1)), Fact(1, (2, 3))]
-    emb, arch = memorization_model(facts, vocab)
-    ds = Dataset(vocab, facts, [], facts)
-    config = TrainConfig(dimension=2, segment_count=1, max_epochs=0)
-    result = train_fixed(arch, ds, config, initial_embeddings=emb)
-    metrics = evaluate(result.embeddings, arch, ds, "test", build_filter_index(ds))
-    assert metrics.mrr == 1.0
