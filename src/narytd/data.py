@@ -353,16 +353,16 @@ def build_dataset(
                     + " (disable strict vocabulary mode to allow)"
                 )
 
-    if valid is None and valid_holdout_fraction > 0:
-        train, valid = holdout_split(train, valid_holdout_fraction, seed)
-    valid = list(valid or [])
-
-    # ids ordered by first occurrence across train, valid, test
-    all_raw = train + valid + test
+    # ids ordered by first occurrence across train as given, valid, test, so
+    # the holdout carved below, and its seed, leave every id unchanged
+    all_raw = train + list(valid or []) + test
     vocab = Vocabulary(
         list(dict.fromkeys(e for _, ents in all_raw for e in ents)),
         list(dict.fromkeys(rel for rel, _ in all_raw)),
     )
+    if valid is None and valid_holdout_fraction > 0:
+        train, valid = holdout_split(train, valid_holdout_fraction, seed)
+    valid = list(valid or [])
 
     def encode(raw: Sequence[RawFact]) -> list[Fact]:
         return [

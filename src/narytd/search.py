@@ -1,9 +1,15 @@
 """Architecture search over block codes via stochastic natural gradient.
 
 Each block's code is drawn from a per-block categorical over the three
-ops; the 3 x K probability matrices (rows in op order -1, 0, +1) are
-ascended toward higher validation utility with an adaptive natural
-gradient whose trust-region scale follows the accumulated update signal.
+ops. One 3 x K probability matrix (rows in op order -1, 0, +1) holds every
+arity's blocks as a column block, arities ascending, so a sample's one-hot
+statistic, the ascent direction and the ASNG signal are one array each.
+The matrix is ascended toward higher validation utility with an adaptive
+natural gradient whose trust-region scale follows the accumulated update
+signal. Two sums keep the per-arity order the blocks once had, so a
+search writes the same bytes as one with a matrix per arity: the signal
+vector lists each block's two free rows block by block, and the entropy
+adds one sum per block; a whole-matrix sum rounds differently.
 The loop alternates one embedding step on a training batch (the loop fixed
 training runs, training.RunState) with one distribution step scored on a
 validation batch, then picks the most probable op per block. Both steps
@@ -25,7 +31,7 @@ from .blocks import ArchitectureSet, CoreAssignment, block_count
 from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
 from .data import json_text, write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
-from .errors import DataError
+from .errors import DataError, NumericError
 from .evaluation import rank_matrix
 from .training import RunState, TrainConfig
 
@@ -43,15 +49,22 @@ THETA_FLOOR = 1e-12
 
 @dataclass
 class ArchitectureDistribution:
-    """Per-arity 3 x K column-stochastic matrices of op probabilities."""
+    """Column-stochastic op probabilities of every block of every arity.
+
+    The constructor copies `thetas` (arity -> 3 x K_n) into one float64
+    `theta` of shape (3, K), K = sum of K_n, in which arity n's blocks are
+    the column block `columns[n]`, arities ascending; `thetas[n]` becomes a
+    view of that block, through which writes reach the matrix.
+    """
 
     thetas: dict[int, np.ndarray]
     segment_count: int
 
     def __post_init__(self):
-        if not self.thetas:
-            raise DataError("distribution has no arities")
+        if not self.thetas or min(self.thetas) < 2:
+            raise DataError(f"distribution arities must be 2..n, got {sorted(self.thetas)}")
         self.max_arity = max(self.thetas)
+        blocks, self.columns, start = [], {}, 0
         for n in range(2, self.max_arity + 1):
             if n not in self.thetas:
                 raise DataError(f"distribution missing arity {n}")
@@ -64,55 +77,32 @@ class ArchitectureDistribution:
             # theta >= 0 is False for NaN, and an infinite entry fails one of the two tests
             if not np.all(theta >= 0) or np.any(np.abs(theta.sum(axis=0) - 1.0) > 1e-9):
                 raise DataError(f"theta columns for arity {n} are not probability vectors")
-            self.thetas[n] = theta
+            blocks.append(theta)
+            self.columns[n] = slice(start, start + expected)
+            start += expected
+        self.theta = np.concatenate(blocks, axis=1)
+        self.thetas = {n: self.theta[:, cols] for n, cols in self.columns.items()}
 
     def arities(self) -> list[int]:
-        return sorted(self.thetas)
+        return list(self.columns)
 
-    def sample_with_stats(
-        self, rng: np.random.Generator
-    ) -> tuple[ArchitectureSet, "SufficientStatistic"]:
-        assignments = {}
-        stats = {}
-        for n in self.arities():
-            theta = self.thetas[n]
-            K = theta.shape[1]
-            cum = np.cumsum(theta, axis=0)
-            u = rng.random(K)
-            rows = (u >= cum[0]).astype(np.int64) + (u >= cum[1])
-            assignments[n] = CoreAssignment(n, self.segment_count, OP_CODES[rows])
-            one_hot = np.zeros((3, K))
-            one_hot[rows, np.arange(K)] = 1.0
-            stats[n] = one_hot
-        return ArchitectureSet(assignments), SufficientStatistic(stats)
+    def architecture(self, codes: np.ndarray) -> ArchitectureSet:
+        """The set whose arity-n codes are `codes[columns[n]]`, for a length-K vector."""
+        return ArchitectureSet({
+            n: CoreAssignment(n, self.segment_count, codes[cols])
+            for n, cols in self.columns.items()
+        })
 
     def entropy(self) -> float:
         """Mean per-block entropy (nats) across all arities."""
-        total = 0.0
-        columns = 0
-        for theta in self.thetas.values():
-            p = np.clip(theta, 1e-300, 1.0)
-            total += float(-(p * np.log(p)).sum())
-            columns += theta.shape[1]
-        return total / columns
+        p = np.clip(self.theta, 1e-300, 1.0)
+        h = -(p * np.log(p))
+        # one contiguous sum per arity block, in arity order
+        total = sum(float(h[:, cols].ravel().sum()) for cols in self.columns.values())
+        return total / self.theta.shape[1]
 
     def copy(self) -> "ArchitectureDistribution":
-        return ArchitectureDistribution(
-            {n: t.copy() for n, t in self.thetas.items()}, self.segment_count
-        )
-
-
-@dataclass
-class SufficientStatistic:
-    """One-hot record of the op sampled for each block, per arity."""
-
-    stats: dict[int, np.ndarray]
-
-    def op_counts(self) -> dict[int, int]:
-        counts = np.zeros(3)
-        for one_hot in self.stats.values():
-            counts += one_hot.sum(axis=1)
-        return {int(OP_CODES[i]): int(counts[i]) for i in range(3)}
+        return ArchitectureDistribution(self.thetas, self.segment_count)
 
 
 def init_theta(max_arity: int, segment_count: int) -> ArchitectureDistribution:
@@ -128,22 +118,27 @@ def init_theta(max_arity: int, segment_count: int) -> ArchitectureDistribution:
 
 def sample_architectures(
     distribution: ArchitectureDistribution, lam: int, rng: np.random.Generator
-) -> list[tuple[ArchitectureSet, SufficientStatistic]]:
-    """lam i.i.d. draws from the distribution with their statistics."""
-    return [distribution.sample_with_stats(rng) for _ in range(lam)]
+) -> list[tuple[ArchitectureSet, np.ndarray]]:
+    """lam i.i.d. draws from the distribution, each with its 3 x K one-hot statistic.
+
+    One rng.random((lam, K)) call draws every block of every sample, in
+    the order a draw per sample and arity would.
+    """
+    cum = np.cumsum(distribution.theta, axis=0)
+    u = rng.random((lam, distribution.theta.shape[1]))
+    rows = (u >= cum[0]).astype(np.int64) + (u >= cum[1])
+    one_hots = (rows[:, None, :] == np.arange(3)[:, None]).astype(np.float64)
+    return [
+        (distribution.architecture(OP_CODES[r]), one_hot) for r, one_hot in zip(rows, one_hots)
+    ]
 
 
 def derive_final(distribution: ArchitectureDistribution) -> ArchitectureSet:
     """Most probable op per block; exact ties prefer 0, then +1, then -1."""
     order = list(_TIE_ORDER)  # argmax takes the first maximum in this order
-    return ArchitectureSet({
-        n: CoreAssignment(
-            n,
-            distribution.segment_count,
-            OP_CODES[order][np.argmax(distribution.thetas[n][order], axis=0)],
-        )
-        for n in distribution.arities()
-    })
+    return distribution.architecture(
+        OP_CODES[order][np.argmax(distribution.theta[order], axis=0)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +187,22 @@ def per_fact_ranked_weights(per_fact_utilities: np.ndarray) -> np.ndarray:
 
 
 def theta_gradient(
-    samples: Sequence[tuple[SufficientStatistic, float]],
+    samples: Sequence[tuple[np.ndarray, float]],
     distribution: ArchitectureDistribution,
-) -> dict[int, np.ndarray]:
-    """Ascent direction (1/lam) sum_i w_i (T_i - theta) per arity.
+) -> np.ndarray:
+    """Ascent direction (1/lam) sum_i w_i (T_i - theta), one 3 x K array.
 
-    Each sample's weight w_i is used as given; the search loop passes
-    per_fact_ranked_weights of the samples' validation utilities.
+    T_i is sample i's one-hot statistic. Each sample's weight w_i is used
+    as given; the search loop passes per_fact_ranked_weights of the
+    samples' validation utilities.
     """
     if not samples:
         raise DataError("theta_gradient needs at least one sample")
-    lam = len(samples)
-    direction = {n: np.zeros_like(t) for n, t in distribution.thetas.items()}
-    for stat, w in samples:
-        if w == 0.0:
-            continue
-        for n in direction:
-            direction[n] += w * (stat.stats[n] - distribution.thetas[n])
-    for n in direction:
-        direction[n] /= lam
+    direction = np.zeros_like(distribution.theta)
+    for one_hot, w in samples:
+        if w != 0.0:
+            direction += w * (one_hot - distribution.theta)
+    direction /= len(samples)
     return direction
 
 
@@ -237,36 +229,31 @@ class AsngState:
         cls, distribution: ArchitectureDistribution, delta_init: float = 1.0
     ) -> "AsngState":
         # two free coordinates per 3-way column
-        columns = sum(t.shape[1] for t in distribution.thetas.values())
-        return cls(signal=np.zeros(2 * columns), delta_init=delta_init)
+        return cls(signal=np.zeros(2 * distribution.theta.shape[1]), delta_init=delta_init)
 
 
 def _fisher_normalized(
-    distribution: Mapping[int, np.ndarray] | ArchitectureDistribution,
-    direction: Mapping[int, np.ndarray],
+    distribution: ArchitectureDistribution, direction: np.ndarray
 ) -> np.ndarray:
     """sqrt-Fisher image of the direction in minimal (first two rows) coords.
 
     Probabilities are floored before inverting so entries sitting at the
     simplex clip floor cannot blow up the normalization; the step size
     divides by this vector's norm, so unbounded curvature would stall or
-    destabilize the trust-region accumulator.
+    destabilize the trust-region accumulator. The vector lists each arity
+    block's two rows in turn, so its dot products sum in arity order.
     """
-    pieces = []
-    for n in distribution.arities():
-        theta = np.maximum(distribution.thetas[n], 1e-4)
-        ng = direction[n]
-        sq = np.sqrt(theta[:2])
-        last = theta[2]
-        s = ng[:2] / sq
-        s += sq * ((ng[0] + ng[1]) / (last + np.sqrt(last)))
-        pieces.append(s.ravel())
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    theta = np.maximum(distribution.theta, 1e-4)
+    sq = np.sqrt(theta[:2])
+    last = theta[2]
+    s = direction[:2] / sq
+    s += sq * ((direction[0] + direction[1]) / (last + np.sqrt(last)))
+    return np.concatenate([s[:, cols].ravel() for cols in distribution.columns.values()])
 
 
 def asng_update(
     distribution: ArchitectureDistribution,
-    direction: Mapping[int, np.ndarray],
+    direction: np.ndarray,
     state: AsngState,
 ) -> tuple[ArchitectureDistribution, AsngState]:
     """Natural-gradient step with adaptive scale; keeps columns on the simplex.
@@ -274,7 +261,8 @@ def asng_update(
     After the step every entry is clipped to [THETA_FLOOR, 1] and each
     column renormalized to sum 1; an entry the renormalization took below
     THETA_FLOOR is raised back to it, so a column's sum stays within
-    3 * THETA_FLOOR of 1. Mutates and returns its inputs.
+    3 * THETA_FLOOR of 1. Mutates and returns its inputs. A step that
+    leaves theta non-finite (an overflowing step size) raises NumericError.
     """
     delta = state.delta_init / state.trust
     dim = state.signal.shape[0]
@@ -282,12 +270,13 @@ def asng_update(
     normalized = _fisher_normalized(distribution, direction)
     pnorm = float(np.sqrt(normalized @ normalized)) + 1e-9
     step = delta / pnorm
-    for n in distribution.arities():
-        theta = distribution.thetas[n]
-        theta += step * direction[n]
-        np.clip(theta, THETA_FLOOR, 1.0, out=theta)
-        theta *= 1.0 / theta.sum(axis=0)
-        np.maximum(theta, THETA_FLOOR, out=theta)
+    theta = distribution.theta
+    theta += step * direction
+    np.clip(theta, THETA_FLOOR, 1.0, out=theta)
+    theta *= 1.0 / theta.sum(axis=0)
+    np.maximum(theta, THETA_FLOOR, out=theta)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError(f"theta is not finite after a step of size {step:g}")
     signal = state.signal
     signal *= 1.0 - beta
     signal += (np.sqrt(beta * (2.0 - beta)) / pnorm) * normalized
@@ -386,7 +375,7 @@ def search_loop(
     trace = SearchTrace()
     valid, tie_policy = dataset.valid, search_config.tie_policy
     archs: list[ArchitectureSet] = []  # this step's draws
-    stats: list[SufficientStatistic] = []  # and their statistics
+    stats: list[np.ndarray] = []  # and their one-hot statistics
 
     def draw() -> list[ArchitectureSet]:
         archs[:], stats[:] = zip(*sample_architectures(distribution, search_config.lam, sample_rng))
@@ -412,7 +401,9 @@ def search_loop(
                 utilities=utilities.tolist(),
                 val_mrr=float(utilities.mean()),
                 theta_entropy=distribution.entropy(),
-                sampled_ops=[stat.op_counts() for stat in stats],
+                sampled_ops=[
+                    dict(zip(OP_CODES.tolist(), map(int, stat.sum(axis=1)))) for stat in stats
+                ],
                 trust=state.trust,
             )
 

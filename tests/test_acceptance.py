@@ -217,7 +217,7 @@ def test_criterion_5_simplex_invariant():
         rng = np.random.default_rng(50)
         directions = rng.normal(scale=0.7, size=(100_000, 3, 8))
         for i in range(100_000):
-            asng_update(dist, {2: directions[i]}, state)
+            asng_update(dist, directions[i], state)
             theta = dist.thetas[2]
             sums = theta.sum(axis=0)
             assert np.all(theta >= 0.0)
@@ -246,7 +246,7 @@ def test_criterion_6_estimator_sanity():
             row = int(arch[2].codes[0]) + 1
             rows[i] = row
             scored.append((stat, float(utility_by_row[row])))
-        direction = theta_gradient(scored, dist)[2][:, 0]
+        direction = theta_gradient(scored, dist)[:, 0]
 
         # per-sample contributions for the standard error
         one_hots = np.zeros((draws, 3))

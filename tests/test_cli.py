@@ -229,6 +229,17 @@ class TestRunSettings:
         assert not out.exists()
 
 
+    def test_non_finite_theta_exits_4_at_the_first_step(self, planted_dir, tmp_path, capsys):
+        # --theta-lr 1e300 passes the config check, but its step size overflows
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = run("search", "--data", planted_dir, "--out", out, "--dim", 8,
+                     "--theta-lr", 1e300)
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "theta is not finite" in err
+        assert not out.exists()
+
 class TestTrainEval:
     def test_preset_bypasses_architecture_file(self, planted_dir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -251,6 +262,25 @@ class TestTrainEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mrr"] == pytest.approx(meta["final_valid_mrr"], abs=1e-9)
         assert doc["queries"] > 0 and "wall_seconds" in doc
+
+    def test_eval_does_not_depend_on_the_holdout_seed(self, tmp_path, capsys):
+        # without valid.tsv the holdout is carved at load time, under --seed;
+        # the ids a checkpoint was trained under must not move with it
+        data_dir = tmp_path / "data"
+        assert run(*synth_args(data_dir, entities=30)) == 0
+        (data_dir / "valid.tsv").unlink()
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", data_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 3, "--batch-size", 32,
+                   "--seed", 1) == 0
+        capsys.readouterr()
+        metrics = []
+        for seed in range(4):
+            assert run("eval", "--checkpoint", ckpt, "--data", data_dir, "--split", "test",
+                       "--seed", seed) == 0
+            doc = json.loads(capsys.readouterr().out)
+            metrics.append({k: v for k, v in doc.items() if k != "wall_seconds"})
+        assert metrics[1:] == metrics[:1] * 3
 
     @pytest.mark.parametrize("epochs, eval_every, rankings", [(3, 1, 3), (3, 2, 2), (3, 0, 1)])
     def test_train_ranks_valid_once(self, epochs, eval_every, rankings, planted_dir, tmp_path,

@@ -13,14 +13,15 @@ from narytd import evaluation
 from narytd.blocks import ArchitectureSet, CoreAssignment, zero_assignment
 from narytd.data import Dataset, Fact, FilterIndex, Vocabulary, build_filter_index
 from narytd.embeddings import SegmentedEmbeddings
-from narytd.errors import DataError
+from narytd.errors import DataError, NumericError
 from narytd.evaluation import query_ranks
 from narytd.search import (
+    ASNG_ALPHA,
+    OP_CODES,
     THETA_FLOOR,
     ArchitectureDistribution,
     AsngState,
     SearchConfig,
-    SufficientStatistic,
     asng_update,
     derive_final,
     init_theta,
@@ -85,14 +86,14 @@ class TestSampling:
         rng = np.random.default_rng(0)
         for sampled, stat in sample_architectures(dist, 5, rng):
             assert sampled == arch
-            assert np.all(stat.stats[2].sum(axis=0) == 1.0)
+            assert np.all(stat.sum(axis=0) == 1.0)
 
     def test_statistic_records_draw(self):
         dist = init_theta(2, 2)
         rng = np.random.default_rng(1)
-        arch, stat = dist.sample_with_stats(rng)
+        [(arch, stat)] = sample_architectures(dist, 1, rng)
         for k, code in enumerate(arch[2].codes):
-            assert stat.stats[2][int(code) + 1, k] == 1.0
+            assert stat[int(code) + 1, k] == 1.0
 
     def test_uniform_frequencies_chi_squared(self):
         # 30,000 draws of one block: counts stay inside the 99% chi^2 band
@@ -116,16 +117,16 @@ class TestSampling:
 class TestThetaGradient:
     def test_single_sample_direct_substitution(self):
         dist = init_theta(2, 1)
-        stat = SufficientStatistic({2: np.array([[0.0], [0.0], [1.0]])})
+        stat = np.array([[0.0], [0.0], [1.0]])
         direction = theta_gradient([(stat, 1.0)], dist)
-        np.testing.assert_allclose(direction[2][:, 0], [-1 / 3, -1 / 3, 2 / 3], atol=1e-12)
+        np.testing.assert_allclose(direction[:, 0], [-1 / 3, -1 / 3, 2 / 3], atol=1e-12)
 
     def test_zero_utilities_zero_direction(self):
         dist = init_theta(2, 2)
         rng = np.random.default_rng(0)
         samples = [(stat, 0.0) for _, stat in sample_architectures(dist, 3, rng)]
         direction = theta_gradient(samples, dist)
-        assert np.all(direction[2] == 0.0)
+        assert np.all(direction == 0.0)
 
     def test_per_fact_ranked_weights_values(self):
         # rows are samples, columns facts; per fact the best sample scores +1,
@@ -142,15 +143,15 @@ class TestAsngUpdate:
         state.signal[:] = 1.0
         before = dist.thetas[2].copy()
         signal_before = state.signal.copy()
-        asng_update(dist, {2: np.zeros((3, 8))}, state)
+        asng_update(dist, np.zeros((3, 8)), state)
         np.testing.assert_allclose(dist.thetas[2], before, atol=1e-12)
         assert np.all(np.abs(state.signal) < np.abs(signal_before))
 
     def test_constant_direction_increases_favored_entry(self):
         dist = init_theta(2, 2)
         state = AsngState.for_distribution(dist)
-        direction = {2: np.zeros((3, 8))}
-        direction[2][:, 3] = [-0.5, -0.5, 1.0]
+        direction = np.zeros((3, 8))
+        direction[:, 3] = [-0.5, -0.5, 1.0]
         prev = dist.thetas[2][2, 3]
         for _ in range(25):
             asng_update(dist, direction, state)
@@ -166,7 +167,7 @@ class TestAsngUpdate:
         state = AsngState.for_distribution(dist)
         rng = np.random.default_rng(3)
         for _ in range(2000):
-            direction = {n: rng.normal(scale=0.5, size=t.shape) for n, t in dist.thetas.items()}
+            direction = rng.normal(scale=0.5, size=dist.theta.shape)
             asng_update(dist, direction, state)
             for theta in dist.thetas.values():
                 assert np.all(theta >= 0.0)
@@ -186,11 +187,128 @@ class TestAsngUpdate:
         dist = ArchitectureDistribution({2: columns / columns.sum(axis=0)}, 2)
         state = AsngState.for_distribution(dist, delta_init=delta_init)
         for direction in directions:
-            asng_update(dist, {2: direction}, state)
+            asng_update(dist, direction, state)
             theta = dist.thetas[2]
             assert np.all(np.isfinite(theta))
             assert np.all(theta >= THETA_FLOOR)
             assert np.all(np.abs(theta.sum(axis=0) - 1.0) <= 1e-9)
+
+
+    def test_overflowing_step_raises_numeric_error(self):
+        # delta / pnorm overflows to inf, and inf * 0 would turn theta into NaN
+        dist = init_theta(2, 2)
+        state = AsngState.for_distribution(dist, delta_init=1e300)
+        direction = np.zeros((3, 8))
+        direction[:, 0] = [1e-12, -1e-12, 0.0]
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+            asng_update(dist, direction, state)
+
+
+class TestOneThetaMatrix:
+    def test_layout_and_views(self):
+        dist = init_theta(4, 4)
+        assert dist.theta.shape == (3, 8 + 81 + 1024)
+        assert dist.columns == {2: slice(0, 8), 3: slice(8, 89), 4: slice(89, 1113)}
+        for n, cols in dist.columns.items():
+            assert np.shares_memory(dist.thetas[n], dist.theta)
+            assert dist.thetas[n].shape == (3, cols.stop - cols.start)
+        dist.thetas[3][:, 0] = [0.0, 0.0, 1.0]
+        assert np.array_equal(dist.theta[:, 8], [0.0, 0.0, 1.0])
+
+    def test_constructor_copies(self):
+        theta = np.full((3, 8), 1 / 3)
+        dist = ArchitectureDistribution({2: theta}, 2)
+        dist.theta[:] = 0.0
+        assert np.all(theta == 1 / 3)
+
+    def test_bitwise_equal_to_per_arity_matrices(self):
+        # the same 50 steps with one dict entry per arity, one loop per arity
+        # in every step: sampling, gradient, Fisher vector, update, entropy
+        lam = 3
+        dist = init_theta(4, 4)
+        state = AsngState.for_distribution(dist)
+        ref = {n: t.copy() for n, t in dist.thetas.items()}
+        ref_signal, ref_gamma, ref_trust = np.zeros(2 * (8 + 81 + 1024)), 0.0, 1.0
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        weight_rng = np.random.default_rng(4)
+        for _ in range(50):
+            samples = sample_architectures(dist, lam, rng)
+            ref_samples = [_per_arity_sample(ref, ref_rng) for _ in range(lam)]
+            for (arch, _), (codes, _) in zip(samples, ref_samples):
+                assert all(np.array_equal(arch[n].codes, codes[n]) for n in ref)
+            # the search loop draws its validation batch after the samples
+            assert np.array_equal(rng.choice(50, 5, replace=False),
+                                  ref_rng.choice(50, 5, replace=False))
+            weights = weight_rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=lam).tolist()
+            direction = theta_gradient([(t, w) for (_, t), w in zip(samples, weights)], dist)
+            ref_direction = _per_arity_gradient(ref, [s for _, s in ref_samples], weights)
+            asng_update(dist, direction, state)
+            ref_signal, ref_gamma, ref_trust = _per_arity_asng(
+                ref, ref_direction, ref_signal, ref_gamma, ref_trust
+            )
+            assert np.array_equal(dist.theta, np.concatenate([ref[n] for n in sorted(ref)], axis=1))
+            assert np.array_equal(state.signal, ref_signal)
+            assert state.trust == ref_trust
+            assert dist.entropy() == _per_arity_entropy(ref)
+        assert dist.entropy() < np.log(3)  # the steps moved theta
+
+
+def _per_arity_sample(thetas, rng):
+    codes, stats = {}, {}
+    for n in sorted(thetas):
+        K = thetas[n].shape[1]
+        cum = np.cumsum(thetas[n], axis=0)
+        u = rng.random(K)
+        rows = (u >= cum[0]).astype(np.int64) + (u >= cum[1])
+        codes[n] = OP_CODES[rows]
+        stats[n] = np.zeros((3, K))
+        stats[n][rows, np.arange(K)] = 1.0
+    return codes, stats
+
+
+def _per_arity_gradient(thetas, stats, weights):
+    direction = {n: np.zeros_like(t) for n, t in thetas.items()}
+    for stat, w in zip(stats, weights):
+        if w == 0.0:
+            continue
+        for n in direction:
+            direction[n] += w * (stat[n] - thetas[n])
+    for n in direction:
+        direction[n] /= len(stats)
+    return direction
+
+
+def _per_arity_asng(thetas, direction, signal, gamma, trust, delta_init=1.0):
+    delta = delta_init / trust
+    beta = min(delta / np.sqrt(signal.shape[0]), 1.0)
+    pieces = []
+    for n in sorted(thetas):
+        theta = np.maximum(thetas[n], 1e-4)
+        sq = np.sqrt(theta[:2])
+        last = theta[2]
+        s = direction[n][:2] / sq
+        s += sq * ((direction[n][0] + direction[n][1]) / (last + np.sqrt(last)))
+        pieces.append(s.ravel())
+    normalized = np.concatenate(pieces)
+    pnorm = float(np.sqrt(normalized @ normalized)) + 1e-9
+    for n in sorted(thetas):
+        theta = thetas[n]
+        theta += (delta / pnorm) * direction[n]
+        np.clip(theta, THETA_FLOOR, 1.0, out=theta)
+        theta *= 1.0 / theta.sum(axis=0)
+        np.maximum(theta, THETA_FLOOR, out=theta)
+    signal = signal * (1.0 - beta) + (np.sqrt(beta * (2.0 - beta)) / pnorm) * normalized
+    gamma = (1.0 - beta) ** 2 * gamma + beta * (2.0 - beta)
+    trust *= float(np.exp(beta * (gamma - signal @ signal / ASNG_ALPHA)))
+    return signal, gamma, min(max(trust, 1e-8), 1e8)
+
+
+def _per_arity_entropy(thetas):
+    total = 0.0
+    for n in sorted(thetas):
+        p = np.clip(thetas[n], 1e-300, 1.0)
+        total += float(-(p * np.log(p)).sum())
+    return total / sum(t.shape[1] for t in thetas.values())
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
@@ -240,7 +358,7 @@ class TestDeriveFinal:
         rng = np.random.default_rng(0)
         state = AsngState.for_distribution(dist)
         for _ in range(50):
-            asng_update(dist, {n: rng.normal(size=t.shape) for n, t in dist.thetas.items()}, state)
+            asng_update(dist, rng.normal(size=dist.theta.shape), state)
         a = derive_final(dist)
         b = derive_final(dist)
         assert a == b
@@ -432,7 +550,7 @@ class TestThetaSnapshot:
         state = AsngState.for_distribution(dist)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            asng_update(dist, {2: rng.normal(size=(3, 8))}, state)
+            asng_update(dist, rng.normal(size=(3, 8)), state)
         save_theta(tmp_path / "theta.json", dist)
         back = load_theta(tmp_path / "theta.json")
         np.testing.assert_allclose(back.thetas[2], dist.thetas[2], atol=1e-15)
