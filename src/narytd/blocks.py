@@ -2,9 +2,10 @@
 
 For arity n and segment count M, the score couples the participants'
 first m = min(n, M) segments through K = m**(n+1) diagonal blocks, each
-carrying a code in {-1, 0, +1}. Block k corresponds to the multi-index
-(j_r, j_1, ..., j_n) in row-major order with j_r slowest (0-based here;
-`codes[k]` multiplies the product of the selected segments).
+carrying a code in {-1, 0, +1}. The flat code vector is the (m,)*(n+1)
+core tensor in numpy's C order, `CoreAssignment.core` is that tensor as a
+view, and core[j_r, j_1, ..., j_n] (0-based, j_r slowest) multiplies the
+product of the selected segments.
 
 Codes are checked once, when a CoreAssignment is constructed: a code
 vector of the wrong length or with a value outside {-1, 0, +1} raises
@@ -70,12 +71,15 @@ class CoreAssignment:
     def block_total(self) -> int:
         return block_count(self.arity, self.segment_count)
 
+    @property
+    def core(self) -> np.ndarray:
+        """The codes as the (m,) * (arity + 1) core tensor, a view: writes reach `codes`."""
+        return self.codes.reshape((self.m,) * (self.arity + 1))
+
     def nonzero_blocks(self) -> list[tuple[tuple[int, ...], int]]:
-        m = self.m
-        return [
-            (kernels.decode_block(int(k), self.arity + 1, m), int(self.codes[k]))
-            for k in np.nonzero(self.codes)[0]
-        ]
+        """(multi-index, code) of every nonzero block, in ascending flat order."""
+        core = self.core
+        return list(zip(map(tuple, np.argwhere(core).tolist()), core[core != 0].tolist()))
 
     def op_counts(self) -> dict[int, int]:
         return {op: int(np.sum(self.codes == op)) for op in (-1, 0, 1)}
@@ -150,10 +154,7 @@ def preset(name: str, arity: int, segment_count: int) -> CoreAssignment:
         raise DataError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     if name in ("cp", "distmult"):
         assignment = zero_assignment(arity, segment_count)
-        m = assignment.m
-        codes = assignment.codes
-        for j in range(m):
-            codes[kernels.encode_block((j,) * (arity + 1), m)] = 1
+        assignment.core[(np.arange(assignment.m),) * (arity + 1)] = 1
         return assignment
     if arity != 2 or segment_count != 2:
         raise DataError(f"preset {name!r} requires arity 2 and 2 segments")
@@ -164,7 +165,7 @@ def preset(name: str, arity: int, segment_count: int) -> CoreAssignment:
     else:  # simple
         entries = {(0, 0, 1): 1, (1, 1, 0): 1}
     for index, code in entries.items():
-        assignment.codes[kernels.encode_block(index, 2)] = code
+        assignment.core[index] = code
     return assignment
 
 

@@ -7,7 +7,10 @@ its effective configuration into the output directory. A command's
 settings are the destinations of its own flags. The search, train and
 eval defaults are the TrainConfig and SearchConfig field defaults, under
 the flags' key names; only a few CLI-only keys have their own. Exit
-codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+codes: 0 success, 2 usage error, 3 data error or unwritable output, 4
+numeric failure. An exit of 3 or 4 prints one line on stderr:
+floating-point warnings are silenced, since the finiteness checks report
+a divergence.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ SYNTH_DEFAULTS = {
     "nonzero_fraction": 0.4,
 }
 
-# the one setting whose key is named unlike its dataclass field
-KEY_OF_FIELD = {"segment_count": "segments"}
+# the settings whose keys are named unlike their dataclass fields
+KEY_OF_FIELD = {"segment_count": "segments", "entity_count": "entities",
+                "relation_count": "relations"}
 
 
 def _key(field_name: str) -> str:
@@ -136,10 +140,11 @@ def _checked(key: str, value, default):
     return value
 
 
-def _build(cls, cfg: dict):
-    """A TrainConfig or SearchConfig from the settings named like its fields."""
-    keys = {f.name: _key(f.name) for f in fields(cls)}
-    return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
+def _build(cls, cfg: dict, **values):
+    """A TrainConfig, SearchConfig or PlantedSpec from the settings named like
+    its fields; `values` gives the fields that are not settings."""
+    keys = {f.name: _key(f.name) for f in fields(cls) if f.name not in values}
+    return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg}, **values)
 
 
 def _load_data(cfg: dict, path: str) -> Dataset:
@@ -210,20 +215,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         truth = random_truth(
             arities, cfg["segments"], cfg["seed"], nonzero_fraction=cfg["nonzero_fraction"]
         )
-    spec = PlantedSpec(
-        entity_count=cfg["entities"],
-        relation_count=cfg["relations"],
-        arities=arities,
-        dimension=cfg["dimension"],
-        segment_count=cfg["segments"],
-        assignments=truth,
-        facts_per_arity=cfg["facts_per_arity"],
-        margin=cfg["margin"],
-        seed=cfg["seed"],
-        sigma=cfg["sigma"],
-        max_draws=int(cfg["max_draws"]),
-    )
-    result = generate_planted(spec)
+    result = generate_planted(_build(PlantedSpec, cfg, arities=arities, assignments=truth))
     save_architecture(Path(args.out) / "truth.json", result.truth)
     return _write_dataset(Path(args.out), result.dataset, cfg)
 
@@ -464,8 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except DataError as exc:
+        # a diverging step overflows; the finiteness checks report it as exit 4
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (DataError, OSError) as exc:  # an OSError's text names its path
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

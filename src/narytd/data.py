@@ -294,6 +294,11 @@ def facts_to_raw(facts: Iterable[Fact], vocabulary: Vocabulary) -> list[RawFact]
     ]
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+
+
 def holdout_split(
     facts: list[RawFact], fraction: float, seed: int
 ) -> tuple[list[RawFact], list[RawFact]]:
@@ -319,10 +324,12 @@ def build_dataset(
     If `valid` is None and the holdout fraction is positive, a seeded
     slice of train becomes the validation split. In strict mode (default)
     any entity or relation that never occurs in train is an error. The
-    holdout fraction must be in [0, 1) even when `valid` is given.
+    holdout fraction must be in [0, 1) and the seed >= 0 even when `valid`
+    is given.
     """
     if not 0 <= valid_holdout_fraction < 1:
         raise DataError(f"holdout fraction must be in [0, 1), got {valid_holdout_fraction}")
+    check_seed(seed)
     if not train:
         raise DataError("train split is empty")
     train = list(train)

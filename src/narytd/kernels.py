@@ -4,8 +4,10 @@ Facts of arity n touch P = n + 1 participant vectors (relation first),
 each restricted to its first m segments of length ds. A batch is packed
 into one float array X of shape (B, P, m, ds); the block codes are a
 flat vector of length K = m**P (any numeric dtype; the kernels cast it
-to X's dtype), indexed row-major with the relation's segment index
-slowest.
+to X's dtype), the (m,)*P core tensor in numpy's C order: flat block k
+is the core entry np.unravel_index(k, (m,)*P), the relation's segment
+index slowest. context_batch's reshape of the codes and
+blocks.CoreAssignment.core are the only places that read this layout.
 
 The compute dtype is X's: float32 stays float32 and any other dtype is
 computed in float64 (see compute_array), so the kernels return the
@@ -25,23 +27,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-
-def decode_block(k: int, positions: int, m: int) -> tuple[int, ...]:
-    """Row-major multi-index (j_r, j_1, ..., j_n) of flat block k, 0-based."""
-    idx = [0] * positions
-    for q in range(positions - 1, -1, -1):
-        idx[q] = k % m
-        k //= m
-    return tuple(idx)
-
-
-def encode_block(index: tuple[int, ...], m: int) -> int:
-    """Flat block id of a 0-based multi-index, inverse of decode_block."""
-    k = 0
-    for j in index:
-        k = k * m + j
-    return k
 
 
 def compute_array(a) -> np.ndarray:

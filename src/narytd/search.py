@@ -29,7 +29,7 @@ import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count
 from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
-from .data import json_text, write_json
+from .data import check_seed, json_text, write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError, NumericError
 from .evaluation import rank_matrix
@@ -307,6 +307,7 @@ class SearchConfig:
             raise DataError("search_epochs must be >= 0 and val_batch_size >= 1")
         if not 0 < self.theta_lr < np.inf:
             raise DataError(f"theta_lr must be finite and > 0, got {self.theta_lr}")
+        check_seed(self.seed)
 
 
 @dataclass

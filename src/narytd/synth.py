@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count, score_batch
-from .data import Dataset, Fact, Vocabulary
+from .data import Dataset, Fact, Vocabulary, check_seed
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError, GenerationError
 
@@ -60,6 +60,7 @@ class PlantedSpec:
             raise DataError(f"margin must be finite, got {self.margin}")
         if self.sigma is not None and not 0 < self.sigma < np.inf:
             raise DataError(f"sigma must be finite and > 0, got {self.sigma}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -147,6 +148,7 @@ def random_truth(
     if segment_count < 1:
         raise DataError(f"segment count must be >= 1, got {segment_count}")
     check_nonzero_fraction(nonzero_fraction)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     assignments = {}
     max_arity = max(arities)

@@ -9,7 +9,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .blocks import ArchitectureSet
-from .data import Dataset, Fact, FilterIndex, build_filter_index
+from .data import Dataset, Fact, FilterIndex, build_filter_index, check_seed
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError, NumericError
 from .evaluation import evaluate
@@ -43,6 +43,7 @@ class TrainConfig:
             raise DataError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0 < self.decay_rate <= 1:
             raise DataError(f"decay_rate must be in (0, 1], got {self.decay_rate}")
+        check_seed(self.seed)
 
 
 @dataclass

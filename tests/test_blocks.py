@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from narytd import kernels
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
@@ -50,7 +49,7 @@ class TestScoreFact:
     def test_single_negative_block(self):
         emb = toy_embeddings()
         assignment = zero_assignment(2, 2)
-        assignment.codes[kernels.encode_block((0, 1, 0), 2)] = -1
+        assignment.core[0, 1, 0] = -1
         assert score_fact(assignment, emb, Fact(0, (0, 1))) == pytest.approx(-20.0)
 
     def test_all_zero_assignment(self):

@@ -240,6 +240,86 @@ class TestRunSettings:
         assert err.startswith("numeric failure: ") and "theta is not finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("train", "--lr", 1e30), ("search", "--lr", 1e30), ("search", "--theta-lr", 1e300)],
+    )
+    def test_diverging_run_prints_one_line(self, command, flag, value, planted_dir, tmp_path,
+                                           capsys):
+        # numpy's overflow warnings used to print before the error line; as errors
+        # here, one such warning fails the run
+        out = tmp_path / "o"
+        extra = ["--preset", "cp"] if command == "train" else []
+        assert run(command, "--data", planted_dir, "--out", out, "--dim", 8, flag, value,
+                   *extra) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["ingest", "synth", "search", "eval"])
+    def test_exits_3_with_one_line(self, command, planted_dir, tmp_path, capsys):
+        # each used to end in a traceback: FileExistsError, FileExistsError,
+        # NotADirectoryError after the whole search, IsADirectoryError
+        file = tmp_path / "file"
+        file.write_text("keep\n")
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        (directory / "k").write_text("keep\n")
+        if command == "eval":
+            assert run("train", "--data", planted_dir, "--out", tmp_path / "ckpt", "--preset",
+                       "cp", "--dim", 8, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        argv = {
+            "ingest": ["ingest", "--train", planted_dir / "train.tsv", "--out", file],
+            "synth": synth_args(file),
+            "search": ["search", "--data", planted_dir, "--out", file / "sub", "--dim", 8,
+                       "--search-epochs", 1],
+            "eval": ["eval", "--checkpoint", tmp_path / "ckpt", "--data", planted_dir,
+                     "--out", directory],
+        }[command]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("dir" if command == "eval" else "file") in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert file.read_text() == "keep\n"
+        assert os.listdir(directory) == ["k"] and (directory / "k").read_text() == "keep\n"
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("case", ["train", "search", "synth", "synth-truth", "ingest",
+                                      "eval", "config"])
+    def test_exits_3_naming_the_seed(self, case, planted_dir, tmp_path, capsys):
+        # each used to end in "ValueError: expected non-negative integer", except
+        # eval, which read valid.tsv and never used the seed
+        out = tmp_path / "o"
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": -1}')
+        if case == "eval":
+            assert run("train", "--data", planted_dir, "--out", tmp_path / "ckpt", "--preset",
+                       "cp", "--dim", 8, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        seed = ["--seed", -1]
+        argv = {
+            "train": ["train", "--data", planted_dir, "--out", out, "--preset", "cp", *seed],
+            "search": ["search", "--data", planted_dir, "--out", out, *seed],
+            "synth": synth_args(out, seed=-1),
+            "synth-truth": synth_args(out, seed=-1, **{"truth-arch": planted_dir / "truth.json"}),
+            "ingest": ["ingest", "--train", planted_dir / "train.tsv", "--out", out, *seed],
+            "eval": ["eval", "--checkpoint", tmp_path / "ckpt", "--data", planted_dir,
+                     "--out", out, *seed],
+            "config": ["train", "--data", planted_dir, "--out", out, "--preset", "cp",
+                       "--config", config],
+        }[case]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_preset_bypasses_architecture_file(self, planted_dir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -567,8 +647,10 @@ class TestMetricsArtifact:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            run("eval", "--checkpoint", ckpt, "--data", planted_dir, "--out", metrics_path)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--data", planted_dir, "--out", metrics_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "disk full" in err
         assert metrics_path.read_bytes() == b"old\n"
         assert os.listdir(metrics_path.parent) == ["metrics.json"]
 

@@ -81,6 +81,12 @@ def test_build_dataset_holdout():
     assert ds.train == ds2.train and ds.valid == ds2.valid
 
 
+def test_build_dataset_rejects_negative_seed():
+    # also when a given valid split leaves the seed unused
+    with pytest.raises(DataError, match="seed"):
+        build_dataset(raw(10), raw(2), valid_holdout_fraction=0.2, seed=-1)
+
+
 def test_build_dataset_strict_rejects_unseen():
     train = [("r", ("a", "b"))]
     valid = [("r", ("a", "ghost"))]

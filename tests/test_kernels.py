@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from narytd import kernels
+from narytd.blocks import CoreAssignment, zero_assignment
 
 
 # Brute-force loop kernels: the reference the chunked matmul kernels are checked against.
@@ -13,7 +14,7 @@ def loop_score(codes, X):
     for k, c in enumerate(codes):
         if c == 0.0:
             continue
-        idx = kernels.decode_block(k, P, m)
+        idx = np.unravel_index(k, (m,) * P)
         for b in range(B):
             acc = 0.0
             for t in range(ds):
@@ -31,7 +32,7 @@ def loop_context(codes, X, hole):
     for k, c in enumerate(codes):
         if c == 0.0:
             continue
-        idx = kernels.decode_block(k, P, m)
+        idx = np.unravel_index(k, (m,) * P)
         for b in range(B):
             for t in range(ds):
                 p = c
@@ -48,27 +49,39 @@ def random_case(rng, P=3, m=2, ds=4, B=5):
     return codes, X
 
 
-def test_decode_encode_roundtrip():
+def test_core_roundtrips_flat_block_ids():
+    # a code written at flat block k is read back at its multi-index, and the
+    # multi-index is k's in the C order context_batch reshapes the codes with
     for P, m in [(3, 2), (4, 3), (5, 4)]:
+        assignment = zero_assignment(P - 1, m)
+        assert assignment.core.shape == (m,) * P
+        assert np.shares_memory(assignment.core, assignment.codes)
         for k in range(m**P):
-            idx = kernels.decode_block(k, P, m)
-            assert len(idx) == P
-            assert all(0 <= j < m for j in idx)
-            assert kernels.encode_block(idx, m) == k
+            assignment.codes[:] = 0
+            assignment.codes[k] = -1
+            [(idx, code)] = assignment.nonzero_blocks()
+            assert len(idx) == P and all(0 <= j < m for j in idx) and code == -1
+            assert assignment.core[idx] == -1
+            assert np.ravel_multi_index(idx, (m,) * P) == k
 
 
-def test_decode_row_major_relation_slowest():
+def test_core_row_major_relation_slowest():
     # k = 0 is all-zeros, k = m**P - 1 is all-(m-1), participant 0 moves slowest
-    assert kernels.decode_block(0, 3, 2) == (0, 0, 0)
-    assert kernels.decode_block(7, 3, 2) == (1, 1, 1)
-    assert kernels.decode_block(4, 3, 2) == (1, 0, 0)
-    assert kernels.decode_block(1, 3, 2) == (0, 0, 1)
+    codes = np.zeros(8, np.int8)
+    codes[[0, 1, 4, 7]] = [1, -1, 1, -1]
+    assignment = CoreAssignment(2, 2, codes)
+    assert assignment.nonzero_blocks() == [
+        ((0, 0, 0), 1), ((0, 0, 1), -1), ((1, 0, 0), 1), ((1, 1, 1), -1)
+    ]
+    assert assignment.core[1, 0, 0] == 1 and assignment.core[0, 0, 1] == -1
+    assignment.core[0, 1, 0] = -1  # a write through the view lands on flat block 2
+    assert assignment.codes[2] == -1
 
 
 def test_score_single_block_manual():
     # one +1 block at (0, 1, 0) with segment length 1
     codes = np.zeros(8)
-    codes[kernels.encode_block((0, 1, 0), 2)] = 1.0
+    codes.reshape(2, 2, 2)[0, 1, 0] = 1.0
     X = np.array([[[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]]]])
     # r seg0 = 1, e1 seg1 = 4, e2 seg0 = 5
     assert kernels.score_batch(codes, X)[0] == pytest.approx(20.0)
@@ -146,7 +159,7 @@ def test_bruteforce_scalar_segments():
         X = rng.normal(size=(3, P, m, 1))
         expected = np.zeros(3)
         for k, c in enumerate(codes):
-            idx = kernels.decode_block(k, P, m)
+            idx = np.unravel_index(k, (m,) * P)
             for b in range(3):
                 prod = c
                 for q, j in enumerate(idx):

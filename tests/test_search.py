@@ -460,6 +460,10 @@ def mixed_arity_case():
 
 
 class TestSearchLoop:
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(DataError, match="seed"):
+            SearchConfig(seed=-1)
+
     def test_zero_epochs_returns_tie_rule_architecture(self):
         ds = planted_dataset()
         sc = SearchConfig(lam=2, search_epochs=0, val_batch_size=16, seed=0, dimension=8)

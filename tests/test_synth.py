@@ -93,6 +93,11 @@ def test_spec_validation():
     truth2 = random_truth((2,), 2, seed=0)
     with pytest.raises(DataError):
         base_spec(assignments=truth2, arities=(2, 4))  # missing arity 4 truth
+    # numpy's generators raise a ValueError on a negative seed, which the CLI does not map
+    with pytest.raises(DataError, match="seed"):
+        base_spec(seed=-1)
+    with pytest.raises(DataError, match="seed"):
+        random_truth((2,), 2, seed=-1)
 
 
 def test_spec_rejects_repeated_arities():

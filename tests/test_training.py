@@ -80,3 +80,8 @@ def test_early_stopping_on_flat_validation():
     result = train_fixed(preset_set("cp", 2, 2), ds, config)
     assert len(result.history) == 4  # first check + patience exhausted
     assert len(result.valid_mrr_history) == 4
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(DataError, match="seed"):
+        TrainConfig(seed=-1)
