@@ -11,11 +11,9 @@ from .blocks import (
     CoreAssignment,
     block_count,
     load_architecture,
-    memorization_model,
     preset,
     preset_set,
     save_architecture,
-    score_fact,
 )
 from .data import (
     Dataset,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import kernels
-from .data import Fact, Vocabulary, fact_groups, int_fields, load_json_object, write_json
+from .data import int_fields, load_json_object, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
@@ -218,42 +218,6 @@ def score_batch(
         raise DataError("embedding and assignment segment counts differ")
     X = pack_participants(embeddings, relation_ids, entity_ids)
     return kernels.score_batch(assignment.codes, X)
-
-
-def score_fact(
-    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, fact: Fact
-) -> float:
-    """Multilinear block-sparse score of one fact."""
-    [(_, _, relation_ids, entity_ids)] = fact_groups([fact])
-    return float(score_batch(assignment, embeddings, relation_ids, entity_ids)[0])
-
-
-# ---------------------------------------------------------------------------
-# exact memorization construction
-
-
-def memorization_model(
-    facts: Sequence[Fact], vocabulary: Vocabulary
-) -> tuple[SegmentedEmbeddings, ArchitectureSet]:
-    """Indicator embeddings that reproduce a fact set exactly.
-
-    With one coordinate per fact (d = len(facts), one segment) and +1 at
-    coordinate k for every symbol participating in the k-th fact, the
-    all-ones diagonal pattern scores every listed fact >= 1 while any
-    tuple whose symbols never share a fact scores exactly 0.
-    """
-    if not facts:
-        raise DataError("cannot build a memorization model from an empty fact set")
-    d = len(facts)
-    ent = np.zeros((vocabulary.entity_count, d))
-    rel = np.zeros((vocabulary.relation_count, d))
-    for _, index, relation_ids, entity_ids in fact_groups(facts):  # fact k sets coordinate k
-        rel[relation_ids, index] = 1.0
-        ent[entity_ids, index[:, None]] = 1.0
-    embeddings = SegmentedEmbeddings(ent, rel, segment_count=1)
-    max_arity = max(f.arity for f in facts)
-    architecture = preset_set("cp", max(max_arity, 2), segment_count=1)
-    return embeddings, architecture
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ settings are the destinations of its own flags. The search, train and
 eval defaults are the TrainConfig and SearchConfig field defaults, under
 the flags' key names; only a few CLI-only keys have their own. Exit
 codes: 0 success, 2 usage error, 3 data error or unwritable output, 4
-numeric failure. An exit of 3 or 4 prints one line on stderr:
-floating-point warnings are silenced, since the finiteness checks report
-a divergence.
+numeric failure. A non-zero exit prints one line on stderr: a usage
+error omits argparse's usage block, and floating-point warnings are
+silenced, since the finiteness checks report a divergence. search and
+train check that their output directory can be made before any work.
 """
 
 from __future__ import annotations
@@ -147,6 +148,16 @@ def _build(cls, cfg: dict, **values):
     return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg}, **values)
 
 
+def _output_dir(out: str) -> Path:
+    """`out` as a Path, checked before any work and without creating anything:
+    NotADirectoryError if the nearest existing path on its way up is not a directory."""
+    out = Path(out)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise NotADirectoryError(f"cannot make output directory {out}: {nearest} is not a directory")
+    return out
+
+
 def _load_data(cfg: dict, path: str) -> Dataset:
     """The dataset directory, restricted to arity-`arity` facts if one is set."""
     # ingest already enforced the vocabulary policy; loading trusts the dir
@@ -222,12 +233,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = _effective(args)
+    out = _output_dir(args.out)
     dataset = _load_data(cfg, args.data)
     train_config = _build(TrainConfig, cfg)
     search_config = _build(SearchConfig, cfg)
     start = time.perf_counter()
     result = search_loop(dataset, search_config, train_config)
-    out = Path(args.out)
     save_architecture(out / "architecture.json", result.architecture)
     save_theta(out / "theta.json", result.distribution)
     write_file(out / "trace.jsonl", result.trace.to_jsonl())
@@ -258,6 +269,7 @@ def _resolve_architecture(cfg: dict, dataset: Dataset) -> ArchitectureSet:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _effective(args)
+    out = _output_dir(args.out)
     dataset = _load_data(cfg, args.data)
     architecture = _resolve_architecture(cfg, dataset)
     config = _build(TrainConfig, cfg)
@@ -266,7 +278,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train_fixed(
         architecture, dataset, config, filter_index=filter_index, tie_policy=cfg["tie_policy"]
     )
-    out = Path(args.out)
     extra = {"wall_seconds": time.perf_counter() - start}
     # result.embeddings are float32, the values the checkpoint stores, so
     # meta records the metrics of the artifact on disk
@@ -357,8 +368,16 @@ def cmd_inspect_arch(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is one stderr line, without the usage
+    block; add_subparsers makes the subcommand parsers of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="narytd",
         description="Block-sparse tensor decomposition for n-ary relational data",
     )

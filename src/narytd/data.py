@@ -5,6 +5,11 @@ with n >= 2, UTF-8 (a leading byte order mark is ignored), `#` starting
 a comment line. A dataset directory holds `train.tsv`, optional
 `valid.tsv`, and `test.tsv`.
 
+build_dataset gives names ids in one pass, train then valid then test,
+each id the next free one at the name's first occurrence. Its strict
+vocabulary check is therefore an id-range test: a name is unseen in
+train exactly when its id is past the ones train assigned.
+
 fact_groups is the one conversion of facts into per-arity id arrays;
 FilterIndex keeps a bytewise-sorted np.void table per arity, read by
 searchsorted. Every artifact is written atomically by write_file
@@ -19,7 +24,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -299,9 +304,7 @@ def check_seed(seed: int) -> None:
         raise DataError(f"seed must be >= 0, got {seed}")
 
 
-def holdout_split(
-    facts: list[RawFact], fraction: float, seed: int
-) -> tuple[list[RawFact], list[RawFact]]:
+def holdout_split(facts: list, fraction: float, seed: int) -> tuple[list, list]:
     """Deterministically carve `fraction` of facts out as a validation set."""
     n_valid = int(len(facts) * fraction)
     order = np.random.default_rng(seed).permutation(len(facts))
@@ -332,52 +335,41 @@ def build_dataset(
     check_seed(seed)
     if not train:
         raise DataError("train split is empty")
-    train = list(train)
-    test = list(test)
-
-    def symbols(raw: Sequence[RawFact]) -> tuple[set[str], set[str]]:
-        rels = {rel for rel, _ in raw}
-        ents = {e for _, ents in raw for e in ents}
-        return rels, ents
-
-    # strictness judges the provided splits against the full train file;
-    # a holdout carved below is exempt by construction
-    train_rels, train_ents = symbols(train)
-    if strict_vocabulary:
-        for split_name, raw in (("valid", valid or []), ("test", test)):
-            rels, ents = symbols(raw)
-            bad_rels = sorted(rels - train_rels)
-            bad_ents = sorted(ents - train_ents)
-            if bad_rels or bad_ents:
-                parts = []
-                if bad_ents:
-                    parts.append(f"entities {bad_ents[:10]}")
-                if bad_rels:
-                    parts.append(f"relations {bad_rels[:10]}")
-                raise DataError(
-                    f"{split_name} split contains symbols unseen in train: "
-                    + ", ".join(parts)
-                    + " (disable strict vocabulary mode to allow)"
-                )
 
     # ids ordered by first occurrence across train as given, valid, test, so
     # the holdout carved below, and its seed, leave every id unchanged
-    all_raw = train + list(valid or []) + test
-    vocab = Vocabulary(
-        list(dict.fromkeys(e for _, ents in all_raw for e in ents)),
-        list(dict.fromkeys(rel for rel, _ in all_raw)),
-    )
-    if valid is None and valid_holdout_fraction > 0:
-        train, valid = holdout_split(train, valid_holdout_fraction, seed)
-    valid = list(valid or [])
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
 
     def encode(raw: Sequence[RawFact]) -> list[Fact]:
         return [
-            Fact(vocab.relation_id(rel), tuple(vocab.entity_id(e) for e in ents))
+            Fact(
+                relation_ids.setdefault(rel, len(relation_ids)),
+                tuple(entity_ids.setdefault(e, len(entity_ids)) for e in ents),
+            )
             for rel, ents in raw
         ]
 
-    ds = Dataset(vocab, encode(train), encode(valid), encode(test))
+    splits = {"train": encode(train)}
+    n_ent, n_rel = len(entity_ids), len(relation_ids)
+    for split_name, raw in (("valid", valid or []), ("test", test)):
+        splits[split_name] = encode(raw)
+        # names past train's ids are unseen there; a strict valid split adds none
+        unseen = [
+            f"{kind} {sorted(islice(ids, n, None))[:10]}"
+            for kind, ids, n in (("entities", entity_ids, n_ent), ("relations", relation_ids, n_rel))
+            if strict_vocabulary and len(ids) > n
+        ]
+        if unseen:
+            raise DataError(
+                f"{split_name} split contains symbols unseen in train: {', '.join(unseen)}"
+                " (disable strict vocabulary mode to allow)"
+            )
+    if valid is None and valid_holdout_fraction > 0:  # a holdout is exempt by construction
+        splits["train"], splits["valid"] = holdout_split(
+            splits["train"], valid_holdout_fraction, seed
+        )
+    ds = Dataset(Vocabulary(list(entity_ids), list(relation_ids)), **splits)
     overlap = set(ds.train) & set(ds.valid + ds.test)
     if overlap:
         logger.warning("train overlaps valid/test on %d fact(s)", len(overlap))

@@ -59,10 +59,6 @@ class SegmentedEmbeddings:
     def segment_length(self) -> int:
         return self.dimension // self.segment_count
 
-    def active_width(self, arity: int) -> int:
-        """Number of leading coordinates a fact of this arity reads."""
-        return min(arity, self.segment_count) * self.segment_length
-
     def copy(self) -> "SegmentedEmbeddings":
         return SegmentedEmbeddings(self.entity_matrix, self.relation_matrix, self.segment_count)
 

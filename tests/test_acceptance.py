@@ -16,9 +16,7 @@ import pytest
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
-    memorization_model,
     preset,
-    score_fact,
 )
 from narytd.data import (
     Dataset,
@@ -42,6 +40,7 @@ from narytd.search import (
 from narytd.synth import PlantedSpec, generate_planted
 from narytd.training import TrainConfig, train_fixed
 
+from oracles import memorization_model, score_fact
 from test_evaluation import brute_force_ranks
 from test_model import brute_loss
 from test_search import one_hot_distribution

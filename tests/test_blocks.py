@@ -8,16 +8,16 @@ from narytd.blocks import (
     architecture_to_doc,
     block_count,
     load_architecture,
-    memorization_model,
     preset,
     preset_set,
     save_architecture,
-    score_fact,
     zero_assignment,
 )
 from narytd.data import Fact, Vocabulary, build_dataset
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
+
+from oracles import memorization_model, score_fact
 
 
 def toy_embeddings():
@@ -116,7 +116,7 @@ class TestPresets:
 
 
 def direct_inner_product(emb, fact, arity):
-    used = emb.active_width(arity)
+    used = min(arity, emb.segment_count) * emb.segment_length
     prod = emb.relation_matrix[fact.relation, :used].copy()
     for e in fact.entities:
         prod *= emb.entity_matrix[e, :used]

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from narytd import cli, data, evaluation, training
-from narytd.blocks import load_architecture, memorization_model, preset_set, save_architecture
+from narytd.blocks import load_architecture, preset_set, save_architecture
 from narytd.cli import main
 from narytd.data import load_dataset_dir
 from narytd.evaluation import evaluate
 from narytd.model import load_checkpoint, save_checkpoint
 from narytd.search import load_theta
+
+from oracles import memorization_model
 
 
 def run(*argv):
@@ -259,10 +261,11 @@ class TestRunSettings:
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["ingest", "synth", "search", "eval"])
-    def test_exits_3_with_one_line(self, command, planted_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ingest", "synth", "search", "train", "eval"])
+    def test_exits_3_with_one_line(self, command, planted_dir, tmp_path, capsys, monkeypatch):
         # each used to end in a traceback: FileExistsError, FileExistsError,
-        # NotADirectoryError after the whole search, IsADirectoryError
+        # NotADirectoryError after the whole search, IsADirectoryError; search
+        # and train now fail before they load any data
         file = tmp_path / "file"
         file.write_text("keep\n")
         directory = tmp_path / "dir"
@@ -277,9 +280,17 @@ class TestUnwritableOutput:
             "synth": synth_args(file),
             "search": ["search", "--data", planted_dir, "--out", file / "sub", "--dim", 8,
                        "--search-epochs", 1],
+            "train": ["train", "--data", planted_dir, "--out", file, "--preset", "cp",
+                      "--dim", 8, "--epochs", 1],
             "eval": ["eval", "--checkpoint", tmp_path / "ckpt", "--data", planted_dir,
                      "--out", directory],
         }[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+
+        monkeypatch.setattr(cli, "search_loop", no_work)
+        monkeypatch.setattr(cli, "train_fixed", no_work)
         assert run(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -408,10 +419,19 @@ class TestTrainEval:
         assert rc == 3
         assert "arities" in capsys.readouterr().err
 
-    def test_unknown_split_usage_error(self, planted_dir, tmp_path):
+    def test_unknown_split_usage_error(self, planted_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("eval", "--checkpoint", tmp_path, "--data", planted_dir, "--split", "dev")
         assert exc.value.code == 2
+        assert capsys.readouterr().err.count("\n") == 1  # no usage block
+
+    @pytest.mark.parametrize("argv", [["train", "--data", "d", "--out", "q", "--lr", "x"], []])
+    def test_usage_error_prints_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("narytd") and ": error: " in err and err.count("\n") == 1
 
     def test_needs_arch_or_preset(self, planted_dir, tmp_path, capsys):
         rc = run("train", "--data", planted_dir, "--out", tmp_path / "c",

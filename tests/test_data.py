@@ -79,6 +79,13 @@ def test_build_dataset_holdout():
     assert len(ds.train) == 8 and len(ds.valid) == 2
     ds2 = build_dataset(raw(10), valid_holdout_fraction=0.2, seed=7)
     assert ds.train == ds2.train and ds.valid == ds2.valid
+    # another seed carves other facts out of the same ids
+    ds3 = build_dataset(raw(10), valid_holdout_fraction=0.2, seed=8)
+    assert ds3.train != ds.train
+    assert ds3.vocabulary.entity_names == ds.vocabulary.entity_names
+    assert ds3.vocabulary.relation_names == ds.vocabulary.relation_names
+    for d in (ds, ds3):
+        assert sorted(facts_to_raw(d.train + d.valid, d.vocabulary)) == sorted(raw(10))
 
 
 def test_build_dataset_rejects_negative_seed():
@@ -95,6 +102,31 @@ def test_build_dataset_strict_rejects_unseen():
     assert "ghost" in str(exc.value)
     ds = build_dataset(train, valid, strict_vocabulary=False)
     assert ds.vocabulary.entity_count == 3
+    advice = " (disable strict vocabulary mode to allow)"
+    # the first ten unseen entities in sorted order, then the unseen relation
+    valid = [("q", (f"u{i:02d}", "a")) for i in reversed(range(11))]
+    with pytest.raises(DataError) as exc:
+        build_dataset(train, valid)
+    ten = [f"u{i:02d}" for i in range(10)]
+    assert str(exc.value) == (
+        f"valid split contains symbols unseen in train: entities {ten}, relations ['q']" + advice
+    )
+    with pytest.raises(DataError) as exc:
+        build_dataset(train, [("r", ("b", "a"))], test=[("r", ("a", "z"))])
+    assert str(exc.value) == "test split contains symbols unseen in train: entities ['z']" + advice
+
+
+def test_build_dataset_ids_follow_first_occurrence():
+    # names seen only in valid or test come after every train name, valid's first
+    train = [("r", ("b", "a")), ("s", ("a", "c"))]
+    valid = [("t", ("d", "b")), ("r", ("e", "d"))]
+    test = [("u", ("f", "e")), ("t", ("g", "a"))]
+    ds = build_dataset(train, valid, test, strict_vocabulary=False)
+    assert ds.vocabulary.entity_names == ["b", "a", "c", "d", "e", "f", "g"]
+    assert ds.vocabulary.relation_names == ["r", "s", "t", "u"]
+    assert ds.train == [Fact(0, (0, 1)), Fact(1, (1, 2))]
+    assert ds.valid == [Fact(2, (3, 0)), Fact(0, (4, 3))]
+    assert ds.test == [Fact(3, (5, 4)), Fact(2, (6, 1))]
 
 
 def test_dataset_requires_train_arity_coverage():

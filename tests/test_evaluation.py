@@ -7,10 +7,8 @@ from narytd import evaluation
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
-    memorization_model,
     pack_participants,
     preset_set,
-    score_fact,
     zero_assignment,
 )
 from narytd.data import (
@@ -32,6 +30,8 @@ from narytd.evaluation import (
     rank_matrix,
 )
 from narytd.model import candidate_scores
+
+from oracles import memorization_model, score_fact
 
 
 def block_ranks(Z, truth, known, tie_policy="optimistic"):

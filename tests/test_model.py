@@ -7,7 +7,6 @@ from narytd.blocks import (
     CoreAssignment,
     pack_participants,
     preset_set,
-    score_fact,
     zero_assignment,
 )
 from narytd.data import Fact, fact_groups
@@ -25,6 +24,8 @@ from narytd.model import (
     save_checkpoint,
 )
 from narytd.search import ArchitectureDistribution, sample_architectures
+
+from oracles import score_fact
 
 
 def same_arity_ids(facts):

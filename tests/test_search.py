@@ -390,7 +390,7 @@ class TestValidationUtility:
         assert np.all(utilities < 0.5)
 
     def test_memorization_model_perfect_utility(self):
-        from narytd.blocks import memorization_model
+        from oracles import memorization_model
 
         vocab = Vocabulary([f"e{i}" for i in range(4)], ["r0", "r1"])
         facts = [Fact(0, (0, 1)), Fact(1, (2, 3))]
