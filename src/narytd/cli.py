@@ -33,10 +33,10 @@ from .blocks import (
     save_architecture,
 )
 from .data import (
-    HOLDOUT_FRACTION,
     Dataset,
     build_dataset,
     build_filter_index,
+    check_seed,
     json_text,
     load_dataset_dir,
     load_json_object,
@@ -56,7 +56,7 @@ from .training import TrainConfig, train_fixed
 SPLITS = ("train", "valid", "test")
 
 INGEST_DEFAULTS = {
-    "holdout_fraction": HOLDOUT_FRACTION,
+    "holdout_fraction": 0.1,  # share of train carved out as valid when --valid is not given
     "seed": 0,
     "arity": None,
     "strict": True,
@@ -89,7 +89,6 @@ def _key(field_name: str) -> str:
 # Defaults of search, train and eval. TrainConfig comes last so that it
 # wins on the shared names: SearchConfig.dimension=None means "as training".
 RUN_DEFAULTS = {
-    "holdout_fraction": HOLDOUT_FRACTION,
     "arity": None,
     "preset": None,
     "arch": None,
@@ -161,12 +160,7 @@ def _output_dir(out: str) -> Path:
 def _load_data(cfg: dict, path: str) -> Dataset:
     """The dataset directory, restricted to arity-`arity` facts if one is set."""
     # ingest already enforced the vocabulary policy; loading trusts the dir
-    dataset = load_dataset_dir(
-        path,
-        valid_holdout_fraction=cfg["holdout_fraction"],
-        seed=cfg["seed"],
-        strict_vocabulary=False,
-    )
+    dataset = load_dataset_dir(path, strict_vocabulary=False)
     if cfg.get("arity") is None:
         return dataset
     arity = int(cfg["arity"])
@@ -235,6 +229,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     out = _output_dir(args.out)
     dataset = _load_data(cfg, args.data)
+    if not dataset.valid:
+        valid = Path(args.data) / "valid.tsv"
+        raise DataError(f"search needs validation facts, and {valid} is missing or holds none;"
+                        " narytd ingest carves a valid.tsv out of train")
     train_config = _build(TrainConfig, cfg)
     search_config = _build(SearchConfig, cfg)
     start = time.perf_counter()
@@ -299,6 +297,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _effective(args)
+    check_seed(cfg["seed"])  # eval draws nothing; --seed is checked like every command's
     embeddings, architecture, _meta = load_checkpoint(args.checkpoint)
     dataset = _load_data(cfg, args.data)
     vocab = dataset.vocabulary
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lr", dest="learning_rate", type=float)
     run.add_argument("--decay-rate", dest="decay_rate", type=float)
     run.add_argument("--batch-size", dest="batch_size", type=int)
-    run.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     run.add_argument("--tie-policy", dest="tie_policy", choices=CHOICES["tie_policy"])
     run.add_argument("--arity", type=int, help="use only the facts of this arity")
     run.add_argument("--config", help="JSON config file")
@@ -452,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=CHOICES["split"])
     p.add_argument("--tie-policy", dest="tie_policy", choices=CHOICES["tie_policy"])
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="checked but unused: eval draws nothing")
     p.add_argument("--out", help="also write the metrics document here")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_eval)

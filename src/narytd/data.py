@@ -3,7 +3,10 @@
 Canonical input is one fact per line, `relation<TAB>e1<TAB>...<TAB>en`
 with n >= 2, UTF-8 (a leading byte order mark is ignored), `#` starting
 a comment line. A dataset directory holds `train.tsv`, optional
-`valid.tsv`, and `test.tsv`.
+`valid.tsv`, and `test.tsv`; load_dataset_dir reads them as they are.
+build_dataset, called by `ingest` with no valid file, is the one place
+that carves a seeded validation holdout out of train, and split_stats
+counts the train facts that valid or test repeats.
 
 build_dataset gives names ids in one pass, train then valid then test,
 each id the next free one at the name's first occurrence. Its strict
@@ -20,7 +23,6 @@ read by int_fields.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass, field
@@ -32,12 +34,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, ParseError
 
-logger = logging.getLogger(__name__)
-
 RawFact = tuple[str, tuple[str, ...]]
-
-# share of train carved out as validation when a dataset has no valid.tsv
-HOLDOUT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -369,11 +366,7 @@ def build_dataset(
         splits["train"], splits["valid"] = holdout_split(
             splits["train"], valid_holdout_fraction, seed
         )
-    ds = Dataset(Vocabulary(list(entity_ids), list(relation_ids)), **splits)
-    overlap = set(ds.train) & set(ds.valid + ds.test)
-    if overlap:
-        logger.warning("train overlaps valid/test on %d fact(s)", len(overlap))
-    return ds
+    return Dataset(Vocabulary(list(entity_ids), list(relation_ids)), **splits)
 
 
 def build_filter_index(dataset: Dataset) -> FilterIndex:
@@ -387,26 +380,16 @@ def group_by_arity(facts: Iterable[Fact]) -> dict[int, list[Fact]]:
     return {n: [facts[i] for i in index.tolist()] for n, index, _, _ in fact_groups(facts)}
 
 
-def load_dataset_dir(
-    directory: str | Path,
-    valid_holdout_fraction: float = HOLDOUT_FRACTION,
-    seed: int = 0,
-    strict_vocabulary: bool = True,
-) -> Dataset:
-    """Load train.tsv / valid.tsv (optional) / test.tsv from a directory."""
+def load_dataset_dir(directory: str | Path, strict_vocabulary: bool = True) -> Dataset:
+    """The dataset in `directory`: train.tsv, and valid.tsv and test.tsv as they
+    are, a missing one being an empty split. Nothing is carved or drawn here;
+    a directory without valid.tsv has no validation split."""
     directory = Path(directory)
-    train_path = directory / "train.tsv"
-    test_path = directory / "test.tsv"
-    valid_path = directory / "valid.tsv"
-    train = parse_facts_file(train_path)
-    test = parse_facts_file(test_path) if test_path.exists() else []
-    valid = parse_facts_file(valid_path) if valid_path.exists() else None
+    valid, test = directory / "valid.tsv", directory / "test.tsv"
     return build_dataset(
-        train,
-        valid,
-        test,
-        valid_holdout_fraction=valid_holdout_fraction,
-        seed=seed,
+        parse_facts_file(directory / "train.tsv"),
+        parse_facts_file(valid) if valid.exists() else [],
+        parse_facts_file(test) if test.exists() else [],
         strict_vocabulary=strict_vocabulary,
     )
 
@@ -423,11 +406,13 @@ def write_dataset_dir(directory: str | Path, dataset: Dataset) -> None:
 
 
 def split_stats(dataset: Dataset) -> dict:
-    """Entity/relation counts and per-arity fact counts per split."""
+    """Entity/relation counts, per-arity fact counts per split, and
+    `train_overlap`: the distinct train facts that valid or test also holds."""
     stats: dict = {
         "entities": dataset.vocabulary.entity_count,
         "relations": dataset.vocabulary.relation_count,
         "max_arity": dataset.max_arity,
+        "train_overlap": len(set(dataset.train) & set(dataset.valid + dataset.test)),
         "splits": {},
     }
     for name in ("train", "valid", "test"):

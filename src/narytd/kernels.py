@@ -9,9 +9,9 @@ is the core entry np.unravel_index(k, (m,)*P), the relation's segment
 index slowest. context_batch's reshape of the codes and
 blocks.CoreAssignment.core are the only places that read this layout.
 
-The compute dtype is X's: float32 stays float32 and any other dtype is
-computed in float64 (see compute_array), so the kernels return the
-dtype of the embeddings they were packed from.
+The compute dtype is the packed batch's: blocks.pack_participants packs
+X in the embeddings' float32 or float64, and the kernels return that
+dtype.
 
 context_batch is the only contraction: it contracts the (m,)*P core
 tensor against every participant but one (the hole), for a list of
@@ -29,12 +29,6 @@ from typing import Sequence
 import numpy as np
 
 
-def compute_array(a) -> np.ndarray:
-    """`a` as an array of its compute dtype: float32 kept, anything else float64."""
-    a = np.asarray(a)
-    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
-
-
 # Upper bound on one chunk's outer-product matrix W, in bytes.
 _CHUNK_BYTES = 256 * 1024
 
@@ -44,7 +38,6 @@ def score_batch(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     score[b] = sum_k codes[k] * sum_t prod_q X[b, q, j_q(k), t]
     """
-    X = compute_array(X)
     return (context_batch(codes, X, [0])[0] * X[:, 0]).sum(axis=(1, 2))
 
 
@@ -61,7 +54,6 @@ def context_batch(codes: np.ndarray, X: np.ndarray, holes: Sequence[int]) -> np.
     Chunks are sized so W stays within _CHUNK_BYTES; a chunk holds at
     least one (row, offset) pair.
     """
-    X = compute_array(X)
     B, P, m, ds = X.shape
     if not all(0 <= h < P for h in holes):
         raise ValueError(f"holes {holes} out of range for {P} participants")

@@ -275,6 +275,9 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     meta = load_json_object(meta_path, "checkpoint meta")
     what = f"checkpoint meta {meta_path}"
     n_e, n_r, d, segments = int_fields(meta, ("n_e", "n_r", "dimension", "segment_count"), what)
+    for name, value in (("n_e", n_e), ("n_r", n_r), ("dimension", d)):
+        if value < 1:
+            raise DataError(f"{what} field {name!r} must be >= 1, got {value}")
     architecture_file = meta.get("architecture_file")
     if not isinstance(architecture_file, str):
         raise DataError(f"{what} field 'architecture_file' must be a string")

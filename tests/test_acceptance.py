@@ -22,8 +22,9 @@ from narytd.data import (
     Dataset,
     Fact,
     Vocabulary,
+    build_dataset,
     build_filter_index,
-    load_dataset_dir,
+    parse_facts_file,
 )
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.evaluation import evaluate, query_ranks
@@ -398,8 +399,9 @@ def test_criterion_9_optional_benchmark():
     """Optional data-dependent check: search at d=64 then retrain at d=128
     reaches test MRR >= 0.70 on the supplied 4-ary benchmark split."""
     with criterion(9, "optional 4-ary benchmark", 7200):
-        ds = load_dataset_dir(JF17K4_DIR, valid_holdout_fraction=0.1, seed=0,
-                              strict_vocabulary=False)
+        ds = build_dataset(parse_facts_file(os.path.join(JF17K4_DIR, "train.tsv")), None,
+                           parse_facts_file(os.path.join(JF17K4_DIR, "test.tsv")),
+                           valid_holdout_fraction=0.1, seed=0, strict_vocabulary=False)
         fi = build_filter_index(ds)
         train_config = TrainConfig(
             dimension=64, segment_count=4, learning_rate=0.05, decay_rate=0.995,

@@ -102,6 +102,34 @@ class TestIngest:
         assert rc == 3
         assert "bad.tsv:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", 1.5])
+    def test_out_of_domain_holdout_fraction_exits_3(self, value, tmp_path, fact_files, capsys):
+        train, test = fact_files
+        out = tmp_path / "o"
+        assert run("ingest", "--train", train, "--test", test, "--out", out,
+                   "--holdout-fraction", value, "--no-strict") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "holdout fraction" in err
+        assert not out.exists()
+
+    def test_train_overlap_is_counted_in_stats(self, tmp_path, fact_files, capsys, caplog):
+        # the count was a logged warning, a second stderr line before a failure's own
+        train, _ = fact_files
+        test = tmp_path / "overlap_raw.tsv"
+        write_facts(test, train.read_text().splitlines()[:2])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["ingest", "--train", train, "--test", test, "--holdout-fraction", 0, "--no-strict"]
+        assert run(*argv, "--out", blocker / "ds") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not caplog.records
+        out = tmp_path / "ds"
+        assert run(*argv, "--out", out) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["train_overlap"] == 2
+        assert json.loads((out / "stats.json").read_text()) == stats
+
 
 class TestSynth:
     def test_deterministic_directories(self, tmp_path, capsys):
@@ -206,9 +234,7 @@ class TestRunSettings:
         [("train", "--lr", -0.05), ("train", "--lr", "nan"), ("train", "--decay-rate", -1),
          ("train", "--decay-rate", 1.5), ("search", "--theta-lr", "nan"),
          ("search", "--theta-lr", "inf"), ("train", "--patience", -3), ("train", "--patience", 0),
-         ("train", "--eval-every", -1),
-         # checked even though the dataset's valid.tsv leaves the fraction unused
-         ("train", "--holdout-fraction", "nan"), ("search", "--holdout-fraction", 1.5)],
+         ("train", "--eval-every", -1)],
     )
     def test_out_of_domain_value_exits_3(self, command, flag, value, planted_dir, tmp_path,
                                          capsys):
@@ -355,8 +381,8 @@ class TestTrainEval:
         assert doc["queries"] > 0 and "wall_seconds" in doc
 
     def test_eval_does_not_depend_on_the_holdout_seed(self, tmp_path, capsys):
-        # without valid.tsv the holdout is carved at load time, under --seed;
-        # the ids a checkpoint was trained under must not move with it
+        # eval's --seed is checked but draws nothing; the ids a checkpoint was
+        # trained under must not move with it
         data_dir = tmp_path / "data"
         assert run(*synth_args(data_dir, entities=30)) == 0
         (data_dir / "valid.tsv").unlink()
@@ -437,6 +463,49 @@ class TestTrainEval:
         rc = run("train", "--data", planted_dir, "--out", tmp_path / "c",
                  "--dim", 8, "--segments", 2, "--epochs", 1)
         assert rc == 3
+
+
+class TestDirectoryWithoutValid:
+    """Only ingest carves a holdout: search, train and eval read a directory as
+    it is, so one without valid.tsv has no validation split."""
+
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        out = tmp_path / "data"
+        assert run(*synth_args(out, entities=60)) == 0
+        (out / "valid.tsv").unlink()
+        return out
+
+    def assert_one_line(self, capsys, *words):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and all(word in err for word in words)
+
+    def test_search_exits_3_naming_valid_tsv(self, data_dir, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "s"
+        assert run("search", "--data", data_dir, "--out", out, "--dim", 8, "--seed", 1) == 3
+        self.assert_one_line(capsys, "error: ", "valid.tsv", "narytd ingest")
+        assert not out.exists()
+
+    def test_train_has_no_valid_mrr_and_eval_no_valid_split(self, data_dir, tmp_path, capsys):
+        # the parent carved a fresh 10% under each command's --seed, so eval --split
+        # valid could score facts the checkpoint was trained on
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", data_dir, "--out", ckpt, "--preset", "cp", "--dim", 8,
+                   "--segments", 2, "--epochs", 2, "--batch-size", 32, "--seed", 1) == 0
+        assert "final_valid_mrr" not in json.loads((ckpt / "meta.json").read_text())
+        assert json.loads((ckpt / "loss_history.json").read_text())["valid_mrr"] == []
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--data", data_dir, "--split", "valid") == 3
+        self.assert_one_line(capsys, "error: ", "'valid' is empty")
+
+    @pytest.mark.parametrize("command", ["search", "train", "eval"])
+    def test_holdout_fraction_is_a_usage_error(self, command, tmp_path, capsys):
+        target = ["--checkpoint" if command == "eval" else "--out", tmp_path / "o"]
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--data", tmp_path, *target, "--holdout-fraction", 0.1)
+        assert exc.value.code == 2
+        self.assert_one_line(capsys, "narytd: error: unrecognized arguments: --holdout-fraction")
 
 
 class TestArchTools:
@@ -553,6 +622,25 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         meta = json.loads((ckpt / "meta.json").read_text())
         meta[field] = value
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
+        self.assert_data_error(rc, capsys, name)
+
+    @pytest.mark.parametrize("case, name", [("negative", "'n_e'"), ("zero", "'dimension'")])
+    def test_meta_size_below_1(self, case, name, planted_dir, tmp_path, capsys):
+        # sizes whose products match the files passed the size check: negated
+        # sizes ended in a reshape ValueError, dimension 0 in a ZeroDivisionError
+        ckpt = tmp_path / "ckpt"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        meta = json.loads((ckpt / "meta.json").read_text())
+        if case == "negative":
+            meta.update(n_e=-meta["n_e"], n_r=-meta["n_r"], dimension=-8)
+        else:
+            meta["dimension"] = 0
+            for matrix in ("entities.bin", "relations.bin"):
+                (ckpt / matrix).write_bytes(b"")
         (ckpt / "meta.json").write_text(json.dumps(meta))
         rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
         self.assert_data_error(rc, capsys, name)
@@ -742,7 +830,7 @@ class TestConfigPrecedence:
 
     def test_search_and_train_echo_their_keys(self, planted_dir, tmp_path, capsys):
         shared = {"dimension", "segments", "seed", "learning_rate", "decay_rate",
-                  "batch_size", "holdout_fraction", "tie_policy", "arity"}
+                  "batch_size", "tie_policy", "arity"}
         search, ckpt = tmp_path / "search", tmp_path / "ckpt"
         assert run("search", "--data", planted_dir, "--out", search, "--dim", 8,
                    "--search-epochs", 0) == 0
