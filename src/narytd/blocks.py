@@ -178,6 +178,9 @@ def preset_set(name: str, max_arity: int, segment_count: int) -> ArchitectureSet
 # ---------------------------------------------------------------------------
 # scoring
 
+# Upper bound on one block of packed participants in score_batch, in bytes.
+_PACK_BYTES = 1 << 20
+
 
 def pack_participants(
     embeddings: SegmentedEmbeddings,
@@ -208,16 +211,34 @@ def pack_participants(
 def score_batch(
     assignment: CoreAssignment, embeddings: SegmentedEmbeddings, relation_ids, entity_ids
 ) -> np.ndarray:
-    """Scores for a batch of same-arity facts given as id arrays."""
+    """Scores for a batch of same-arity facts given as id arrays, in the embeddings' dtype.
+
+    The rows are packed and scored in blocks of at most _PACK_BYTES of
+    packed participants (at least one kernel chunk), so memory does not
+    grow with the batch. Each block's row count is a multiple of the
+    kernel's chunk rows, so every matmul, and every score, is the one a
+    single kernels.score_batch call over the whole batch would make.
+    """
+    relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
     if entity_ids.shape[1] != assignment.arity:
         raise DataError(
             f"arity mismatch: assignment is {assignment.arity}, facts are {entity_ids.shape[1]}"
         )
+    if len(relation_ids) != len(entity_ids):
+        raise DataError(f"{len(relation_ids)} relation ids for {len(entity_ids)} entity rows")
     if embeddings.segment_count != assignment.segment_count:
         raise DataError("embedding and assignment segment counts differ")
-    X = pack_participants(embeddings, relation_ids, entity_ids)
-    return kernels.score_batch(assignment.codes, X)
+    P, m, ds = assignment.arity + 1, assignment.m, embeddings.segment_length
+    itemsize = embeddings.matrix.itemsize
+    _, b_step = kernels.chunk_steps(itemsize, P, m, ds)
+    rows = b_step * max(1, _PACK_BYTES // (itemsize * P * m * ds * b_step))
+    scores = np.empty(len(entity_ids), dtype=embeddings.matrix.dtype)
+    for b0 in range(0, len(scores), rows):
+        block = slice(b0, b0 + rows)
+        X = pack_participants(embeddings, relation_ids[block], entity_ids[block])
+        scores[block] = kernels.score_batch(assignment.codes, X)
+    return scores
 
 
 # ---------------------------------------------------------------------------

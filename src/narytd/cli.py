@@ -298,8 +298,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     check_seed(cfg["seed"])  # eval draws nothing; --seed is checked like every command's
-    embeddings, architecture, _meta = load_checkpoint(args.checkpoint)
-    dataset = _load_data(cfg, args.data)
+    embeddings, architecture, meta = load_checkpoint(args.checkpoint)
+    # the facts of the arity the checkpoint was trained on, if `train --arity` set one
+    trained = meta.get("config", {})
+    if not isinstance(trained, dict):
+        raise DataError(f"checkpoint meta field 'config' must be a JSON object, got {trained!r}")
+    dataset = _load_data({"arity": _checked("arity", trained.get("arity"), None)}, args.data)
     vocab = dataset.vocabulary
     if (embeddings.entity_count, embeddings.relation_count) != (
         vocab.entity_count,

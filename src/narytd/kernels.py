@@ -18,8 +18,8 @@ tensor against every participant but one (the hole), for a list of
 holes, with one BLAS matmul per hole and chunk of the batch: the core as
 an (m, m**(P-1)) matrix times the outer product of the other
 participants' segments. A chunk's outer product stays within a fixed
-byte budget whatever B, P or m. score_batch pairs the relation's
-context (hole 0) with the relation.
+byte budget whatever B, P or m (chunk_steps). score_batch pairs the
+relation's context (hole 0) with the relation.
 """
 
 from __future__ import annotations
@@ -31,6 +31,19 @@ import numpy as np
 
 # Upper bound on one chunk's outer-product matrix W, in bytes.
 _CHUNK_BYTES = 256 * 1024
+
+
+def chunk_steps(itemsize: int, P: int, m: int, ds: int) -> tuple[int, int]:
+    """(t_step, b_step): the within-segment offsets and the rows of one chunk.
+
+    One (row, offset) column of W takes itemsize * m**(P-1) bytes; a chunk
+    takes as many offsets as fit in _CHUNK_BYTES (at least one, at most
+    ds), then as many rows of those (at least one). Neither depends on B,
+    so a batch split at multiples of b_step runs the same matmuls.
+    """
+    pair_bytes = itemsize * m ** (P - 1)
+    t_step = min(ds, max(1, _CHUNK_BYTES // pair_bytes))
+    return t_step, max(1, _CHUNK_BYTES // (pair_bytes * t_step))
 
 
 def score_batch(codes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -51,8 +64,8 @@ def context_batch(codes: np.ndarray, X: np.ndarray, holes: Sequence[int]) -> np.
     one matmul: the core with the hole's axis first, (m, m**(P-1)), times
     the outer product W of the other participants' segments, held as
     (m**(P-1), rows * ts) so every broadcast runs along contiguous memory.
-    Chunks are sized so W stays within _CHUNK_BYTES; a chunk holds at
-    least one (row, offset) pair.
+    chunk_steps sizes the chunks so W stays within _CHUNK_BYTES; a chunk
+    holds at least one (row, offset) pair.
     """
     B, P, m, ds = X.shape
     if not all(0 <= h < P for h in holes):
@@ -60,9 +73,7 @@ def context_batch(codes: np.ndarray, X: np.ndarray, holes: Sequence[int]) -> np.
     core = np.asarray(codes, dtype=X.dtype).reshape((m,) * P)
     cores = [np.moveaxis(core, h, 0).reshape(m, -1) for h in holes]
     others = [[q for q in range(P) if q != h] for h in holes]
-    pair_bytes = X.itemsize * m ** (P - 1)  # one (row, offset) column of W
-    t_step = min(ds, max(1, _CHUNK_BYTES // pair_bytes))
-    b_step = max(1, _CHUNK_BYTES // (pair_bytes * t_step))
+    t_step, b_step = chunk_steps(X.itemsize, P, m, ds)
     out = np.empty((len(holes), B, m, ds), dtype=X.dtype)
     for b0 in range(0, B, b_step):
         rows = slice(b0, b0 + b_step)

@@ -18,6 +18,8 @@ from .data import Dataset, Fact, Vocabulary, check_seed
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError, GenerationError
 
+# Candidate draws per RNG call. Another value changes the random stream and
+# so every generated dataset; blocks.score_batch bounds the memory per chunk.
 _CHUNK = 8192
 
 
@@ -73,9 +75,11 @@ class PlantedResult:
 def generate_planted(spec: PlantedSpec) -> PlantedResult:
     """Sample facts whose ground-truth score clears the margin.
 
-    Tuples are drawn uniformly and deduplicated; generation fails with a
-    diagnostic if max_draws candidates cannot produce facts_per_arity
-    positives for some arity. Positives split 80/10/10 per arity.
+    Tuples are drawn uniformly, _CHUNK at a time, scored by
+    blocks.score_batch (whose memory does not grow with the chunk) and
+    deduplicated; generation fails with a diagnostic if max_draws
+    candidates cannot produce facts_per_arity positives for some arity.
+    Positives split 80/10/10 per arity.
     """
     rng = np.random.default_rng(spec.seed)
     sigma = spec.sigma if spec.sigma is not None else 1.0 / np.sqrt(spec.dimension)

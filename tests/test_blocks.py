@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from narytd import blocks, kernels
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
@@ -11,6 +14,7 @@ from narytd.blocks import (
     preset,
     preset_set,
     save_architecture,
+    score_batch,
     zero_assignment,
 )
 from narytd.data import Fact, Vocabulary, build_dataset
@@ -71,6 +75,78 @@ class TestScoreFact:
             scaled = emb.copy()
             scaled.entity_matrix[2] *= alpha
             assert score_fact(assignment, scaled, fact) == pytest.approx(alpha * base)
+
+
+def random_scoring_case(arity, segments, dimension, dtype, rows, seed=0):
+    """(assignment, embeddings, relation ids, entity ids) with random codes and rows."""
+    rng = np.random.default_rng(seed)
+    emb = SegmentedEmbeddings(
+        rng.normal(size=(40, dimension)).astype(dtype),
+        rng.normal(size=(5, dimension)).astype(dtype),
+        segments,
+    )
+    K = block_count(arity, segments)
+    assignment = CoreAssignment(arity, segments, rng.choice([-1, 0, 1], size=K).astype(np.int8))
+    return assignment, emb, rng.integers(0, 5, size=rows), rng.integers(0, 40, size=(rows, arity))
+
+
+class TestBoundedScoreBatch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("segments", [1, 2, 3, 4])
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    @pytest.mark.parametrize("chunk_bytes, pack_bytes", [(None, 20_000), (4096, 16384)])
+    def test_blocks_equal_one_kernel_call(
+        self, monkeypatch, chunk_bytes, pack_bytes, arity, segments, dtype
+    ):
+        # 400 rows in blocks of at most pack_bytes, at the kernel's own chunk
+        # sizes (where a block cut between chunk boundaries changes the last
+        # bits of some scores) and at small ones (many blocks for every
+        # shape); each block but the last is whole kernel chunks, and the
+        # scores equal one kernel call over all rows bit for bit
+        if chunk_bytes:
+            monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(blocks, "_PACK_BYTES", pack_bytes)
+        sizes = []
+        pack = blocks.pack_participants
+        monkeypatch.setattr(
+            blocks, "pack_participants", lambda e, r, ids: sizes.append(len(ids)) or pack(e, r, ids)
+        )
+        for dimension in (12, 24, 48):
+            assignment, emb, rel, ent = random_scoring_case(arity, segments, dimension, dtype, 400)
+            sizes.clear()
+            got = score_batch(assignment, emb, rel, ent)
+            m, itemsize = min(arity, segments), np.dtype(dtype).itemsize
+            _, b_step = kernels.chunk_steps(itemsize, arity + 1, m, dimension // segments)
+            assert sum(sizes) == 400
+            assert all(size % b_step == 0 for size in sizes[:-1])
+            if chunk_bytes:
+                assert len(sizes) >= 3
+            want = kernels.score_batch(assignment.codes, pack(emb, rel, ent))
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_traced_peak_is_bounded(self):
+        # 8192 arity-3 rows at d=128 pack to 34 MB of float64 in one piece
+        assignment, emb, rel, ent = random_scoring_case(3, 2, 128, np.float64, 8192)
+        tracemalloc.start()
+        try:
+            score_batch(assignment, emb, rel, ent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_rows(self, dtype):
+        assignment, emb, _, _ = random_scoring_case(3, 2, 8, dtype, 0)
+        scores = score_batch(assignment, emb, np.empty(0, np.int64), np.empty((0, 3), np.int64))
+        assert scores.shape == (0,) and scores.dtype == dtype
+
+    @pytest.mark.parametrize("relations", [2, 6])  # 6 = 2 * 3: divides the row count evenly
+    def test_id_arrays_of_different_lengths(self, relations):
+        assignment, emb, _, ent = random_scoring_case(2, 2, 8, np.float64, 3)
+        with pytest.raises(DataError, match="relation ids"):
+            score_batch(assignment, emb, np.zeros(relations, np.int64), ent)
 
 
 class TestPresets:

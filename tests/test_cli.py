@@ -728,6 +728,39 @@ class TestFixedArityMode:
         history = json.loads((ckpt / "loss_history.json").read_text())
         assert [e["facts"] for e in history["epochs"]] == [arity3]
 
+    def test_eval_scores_the_trained_arity(self, mixed_dir, tmp_path, capsys):
+        # eval restricts the split to the arity in the checkpoint's config, as
+        # train did; it used to exit 3 with "no block assignment for arity 3"
+        ckpt = tmp_path / "c2"
+        assert run("train", "--data", mixed_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--batch-size", 16,
+                   "--arity", 2) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--data", mixed_dir, "--split", "valid") == 0
+        doc = json.loads(capsys.readouterr().out)
+        dataset = load_dataset_dir(mixed_dir, strict_vocabulary=False)
+        arity2 = [f for f in dataset.valid if f.arity == 2]
+        assert 0 < len(arity2) < len(dataset.valid)
+        embeddings, architecture, meta = load_checkpoint(ckpt)
+        restricted = data.Dataset(dataset.vocabulary, [f for f in dataset.train if f.arity == 2],
+                                  arity2, [])
+        expected = evaluate(embeddings, architecture, restricted, "valid").to_doc(split="valid")
+        assert {k: v for k, v in doc.items() if k != "wall_seconds"} == expected
+        assert meta["final_valid_mrr"] == pytest.approx(doc["mrr"], abs=1e-9)
+
+    @pytest.mark.parametrize("config, name", [([], "'config'"), ({"arity": "2"}, "'arity'")])
+    def test_malformed_trained_config_exits_3(self, config, name, mixed_dir, tmp_path, capsys):
+        ckpt = tmp_path / "c2"
+        assert run("train", "--data", mixed_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1, "--arity", 2) == 0
+        capsys.readouterr()
+        meta = json.loads((ckpt / "meta.json").read_text())
+        meta["config"] = config
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        assert run("eval", "--checkpoint", ckpt, "--data", mixed_dir, "--split", "valid") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
+
 
 class TestMetricsArtifact:
     def test_metrics_document_reloads(self, planted_dir, tmp_path, capsys):

@@ -118,6 +118,13 @@ def test_chunked_kernels_match_loop_oracle(monkeypatch, chunk_bytes):
     assert_match_loop_oracle(*random_case(rng, P=4, m=2, ds=5, B=6))
 
 
+@pytest.mark.parametrize("chunk_bytes, steps", [(1, (1, 1)), (192, (3, 1)), (640, (5, 2))])
+def test_chunk_steps(monkeypatch, chunk_bytes, steps):
+    # the chunks of test_chunked_kernels_match_loop_oracle, whatever the batch size
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+    assert kernels.chunk_steps(8, 4, 2, 5) == steps
+
+
 def test_context_reconstructs_score():
     # pairing the context against the held-out participant gives the score
     rng = np.random.default_rng(1)
