@@ -193,10 +193,14 @@ def pack_participants(
     relation; only the first m = min(n, M) segments are gathered. X takes
     the embeddings' dtype. Rows are gathered through the entity_matrix and
     relation_matrix views, so an entity id past the entity rows raises
-    IndexError instead of reading a relation row.
+    IndexError instead of reading a relation row, and a negative id raises
+    DataError instead of reading a row from the end.
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
+    for kind, ids in (("relation", relation_ids), ("entity", entity_ids)):
+        if ids.size and ids.min() < 0:
+            raise DataError(f"negative {kind} id {ids.min()}")
     B, n = entity_ids.shape
     m = min(n, embeddings.segment_count)
     ds = embeddings.segment_length
@@ -221,9 +225,10 @@ def score_batch(
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
-    if entity_ids.shape[1] != assignment.arity:
+    if entity_ids.ndim != 2 or entity_ids.shape[1] != assignment.arity:
         raise DataError(
-            f"arity mismatch: assignment is {assignment.arity}, facts are {entity_ids.shape[1]}"
+            f"arity-{assignment.arity} assignment needs entity ids of shape"
+            f" (rows, {assignment.arity}), got {entity_ids.shape}"
         )
     if len(relation_ids) != len(entity_ids):
         raise DataError(f"{len(relation_ids)} relation ids for {len(entity_ids)} entity rows")

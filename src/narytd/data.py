@@ -2,14 +2,16 @@
 
 Canonical input is one fact per line, `relation<TAB>e1<TAB>...<TAB>en`
 with n >= 2, UTF-8 (a leading byte order mark is ignored), `#` starting
-a comment line. A dataset directory holds `train.tsv`, optional
-`valid.tsv`, and `test.tsv`; load_dataset_dir reads them as they are.
+a comment line. A dataset directory holds `train.tsv`, `valid.tsv` and
+`test.tsv`; load_dataset_dir reads them as they are, a missing or empty
+file being an empty split, and write_dataset_dir writes all three.
 build_dataset, called by `ingest` with no valid file, is the one place
 that carves a seeded validation holdout out of train, and split_stats
 counts the train facts that valid or test repeats.
 
-build_dataset gives names ids in one pass, train then valid then test,
-each id the next free one at the name's first occurrence. Its strict
+An id is a position in the Vocabulary's entity_names or relation_names
+list. build_dataset gives names ids in one pass, train then valid then
+test, each id the next free one at the name's first occurrence. Its strict
 vocabulary check is therefore an id-range test: a name is unseen in
 train exactly when its id is past the ones train assigned.
 
@@ -50,16 +52,14 @@ class Fact:
 
 
 class Vocabulary:
-    """Dense 0-based ids for entity and relation names."""
+    """Entity and relation names; an id is a name's position in its list."""
 
     def __init__(self, entity_names: Sequence[str], relation_names: Sequence[str]):
         self.entity_names = list(entity_names)
         self.relation_names = list(relation_names)
-        self._entity_ids = {name: i for i, name in enumerate(self.entity_names)}
-        self._relation_ids = {name: i for i, name in enumerate(self.relation_names)}
-        if len(self._entity_ids) != len(self.entity_names):
+        if len(set(self.entity_names)) != len(self.entity_names):
             raise DataError("duplicate entity names in vocabulary")
-        if len(self._relation_ids) != len(self.relation_names):
+        if len(set(self.relation_names)) != len(self.relation_names):
             raise DataError("duplicate relation names in vocabulary")
 
     @property
@@ -69,24 +69,6 @@ class Vocabulary:
     @property
     def relation_count(self) -> int:
         return len(self.relation_names)
-
-    def entity_id(self, name: str) -> int:
-        try:
-            return self._entity_ids[name]
-        except KeyError:
-            raise DataError(f"unknown entity {name!r}") from None
-
-    def relation_id(self, name: str) -> int:
-        try:
-            return self._relation_ids[name]
-        except KeyError:
-            raise DataError(f"unknown relation {name!r}") from None
-
-    def entity_name(self, eid: int) -> str:
-        return self.entity_names[eid]
-
-    def relation_name(self, rid: int) -> str:
-        return self.relation_names[rid]
 
 
 @dataclass
@@ -100,12 +82,13 @@ class Dataset:
     max_arity: int = field(init=False)
 
     def __post_init__(self):
-        arities = {f.arity for split in (self.train, self.valid, self.test) for f in split}
-        if not arities:
+        train_arities = {len(f.entities) for f in self.train}
+        other_arities = {len(f.entities) for split in (self.valid, self.test) for f in split}
+        self._arities = sorted(train_arities | other_arities)
+        if not self._arities:
             raise DataError("dataset has no facts")
-        self.max_arity = max(arities)
-        train_arities = {f.arity for f in self.train}
-        missing = {f.arity for f in self.valid + self.test} - train_arities
+        self.max_arity = self._arities[-1]
+        missing = other_arities - train_arities
         if missing:
             raise DataError(
                 f"arities {sorted(missing)} appear in valid/test but not in train"
@@ -122,7 +105,8 @@ class Dataset:
         yield from self.test
 
     def arities(self) -> list[int]:
-        return sorted({f.arity for f in self.all_facts()})
+        """The arities of all three splits, ascending."""
+        return list(self._arities)
 
 
 class FilterIndex:
@@ -290,10 +274,8 @@ def serialize_facts(facts: Iterable[RawFact]) -> str:
 
 
 def facts_to_raw(facts: Iterable[Fact], vocabulary: Vocabulary) -> list[RawFact]:
-    return [
-        (vocabulary.relation_name(f.relation), tuple(vocabulary.entity_name(e) for e in f.entities))
-        for f in facts
-    ]
+    relations, entities = vocabulary.relation_names, vocabulary.entity_names
+    return [(relations[f.relation], tuple(entities[e] for e in f.entities)) for f in facts]
 
 
 def check_seed(seed: int) -> None:
@@ -395,13 +377,12 @@ def load_dataset_dir(directory: str | Path, strict_vocabulary: bool = True) -> D
 
 
 def write_dataset_dir(directory: str | Path, dataset: Dataset) -> None:
-    """Write canonical train/valid/test TSVs for a dataset."""
+    """Write canonical train/valid/test TSVs for a dataset, an empty split as an
+    empty file, so no split of an earlier dataset in `directory` survives."""
     directory = Path(directory)
     vocab = dataset.vocabulary
     for name in ("train", "valid", "test"):
         facts = dataset.split(name)
-        if name == "valid" and not facts:
-            continue
         write_file(directory / f"{name}.tsv", serialize_facts(facts_to_raw(facts, vocab)))
 
 
@@ -412,11 +393,11 @@ def split_stats(dataset: Dataset) -> dict:
         "entities": dataset.vocabulary.entity_count,
         "relations": dataset.vocabulary.relation_count,
         "max_arity": dataset.max_arity,
-        "train_overlap": len(set(dataset.train) & set(dataset.valid + dataset.test)),
+        "train_overlap": len(set(dataset.train) & set(chain(dataset.valid, dataset.test))),
         "splits": {},
     }
     for name in ("train", "valid", "test"):
         facts = dataset.split(name)
-        per_arity = {str(n): len(g) for n, g in sorted(group_by_arity(facts).items())}
+        per_arity = {str(n): len(index) for n, index, _, _ in fact_groups(facts)}
         stats["splits"][name] = {"facts": len(facts), "per_arity": per_arity}
     return stats

@@ -112,7 +112,7 @@ def test_criterion_2_memorization_oracle():
             # symbol-disjoint corruptions: swap in entities from other facts
             for fact in facts:
                 foreign = [e for f in facts if f is not fact for e in f.entities]
-                foreign.append(vocab.entity_id("never_used"))
+                foreign.append(vocab.entity_names.index("never_used"))
                 for p in range(fact.arity):
                     ents = list(fact.entities)
                     ents[p] = foreign[int(rng.integers(len(foreign)))]

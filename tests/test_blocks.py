@@ -148,6 +148,10 @@ class TestBoundedScoreBatch:
         with pytest.raises(DataError, match="relation ids"):
             score_batch(assignment, emb, np.zeros(relations, np.int64), ent)
 
+    def test_one_dimensional_entity_ids(self):
+        with pytest.raises(DataError, match=r"shape \(rows, 2\), got \(2,\)"):
+            score_batch(preset("cp", 2, 2), toy_embeddings(), np.array([0]), np.array([0, 1]))
+
 
 class TestPresets:
     def test_cp_nonzeros_on_diagonal(self):

@@ -130,6 +130,23 @@ class TestIngest:
         assert stats["train_overlap"] == 2
         assert json.loads((out / "stats.json").read_text()) == stats
 
+    def test_ingest_without_holdout_empties_valid_tsv(self, tmp_path, capsys):
+        # every fact of the first ingest's valid.tsv is in the second's train.tsv,
+        # so a valid.tsv left in place would have search validate on training facts
+        data, out = tmp_path / "data", tmp_path / "ing"
+        assert run(*synth_args(data, entities=60)) == 0
+        argv = ["ingest", "--train", data / "train.tsv", "--test", data / "test.tsv",
+                "--out", out, "--no-strict"]
+        assert run(*argv, "--seed", 1) == 0
+        assert (out / "valid.tsv").read_text()
+        assert run(*argv, "--holdout-fraction", 0) == 0
+        assert json.loads((out / "stats.json").read_text())["splits"]["valid"]["facts"] == 0
+        assert (out / "valid.tsv").read_bytes() == b""
+        capsys.readouterr()
+        assert run("search", "--data", out, "--out", tmp_path / "s", "--dim", 8, "--seed", 1) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "valid.tsv" in err
+
 
 class TestSynth:
     def test_deterministic_directories(self, tmp_path, capsys):
@@ -185,6 +202,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "nonzero fraction" in err
         assert not out.exists()
+
+    def test_too_few_facts_for_valid_writes_an_empty_valid_tsv(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run(*synth_args(out)) == 0
+        assert (out / "valid.tsv").read_text()
+        # 9 positives per arity carve int(0.1 * 9) = 0 valid facts
+        assert run(*synth_args(out, **{"facts-per-arity": 9})) == 0
+        assert (out / "valid.tsv").read_bytes() == b""
 
 
 @pytest.fixture

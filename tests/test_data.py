@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narytd.data import (
+    Dataset,
     Fact,
     FilterIndex,
     Vocabulary,
@@ -19,6 +20,7 @@ from narytd.data import (
     parse_facts,
     parse_facts_file,
     serialize_facts,
+    split_stats,
     write_dataset_dir,
 )
 from narytd.errors import DataError, ParseError
@@ -139,10 +141,10 @@ def test_dataset_requires_train_arity_coverage():
 def test_filter_index_groups_fillers():
     ds = build_dataset([("r", ("a", "b")), ("r", ("a", "c"))])
     index = build_filter_index(ds)
-    a = ds.vocabulary.entity_id("a")
-    b = ds.vocabulary.entity_id("b")
-    c = ds.vocabulary.entity_id("c")
-    r = ds.vocabulary.relation_id("r")
+    a = ds.vocabulary.entity_names.index("a")
+    b = ds.vocabulary.entity_names.index("b")
+    c = ds.vocabulary.entity_names.index("c")
+    r = ds.vocabulary.relation_names.index("r")
     rows, cols = index.fillers(np.array([r]), np.array([[a, b]]))
     # query p of a one-fact chunk holds position p out
     assert sorted(cols[rows == 1].tolist()) == sorted([b, c])
@@ -270,14 +272,6 @@ def test_group_by_arity_is_partition():
         assert positions == sorted(positions)
 
 
-def test_vocabulary_lookup_inverse():
-    vocab = Vocabulary(["a", "b"], ["r"])
-    assert vocab.entity_id(vocab.entity_name(1)) == 1
-    assert vocab.relation_id(vocab.relation_name(0)) == 0
-    with pytest.raises(DataError):
-        vocab.entity_id("missing")
-
-
 def test_dataset_dir_round_trip(tmp_path):
     ds = build_dataset(raw(12), valid_holdout_fraction=0.25, seed=3)
     write_dataset_dir(tmp_path, ds)
@@ -287,6 +281,57 @@ def test_dataset_dir_round_trip(tmp_path):
     back = load_dataset_dir(tmp_path, strict_vocabulary=False)
     assert facts_to_raw(back.train, back.vocabulary) == facts_to_raw(ds.train, ds.vocabulary)
     assert facts_to_raw(back.valid, back.vocabulary) == facts_to_raw(ds.valid, ds.vocabulary)
+    # an empty split is written too, so the holdout's valid.tsv does not outlive it
+    write_dataset_dir(tmp_path, build_dataset(raw(12)))
+    assert (tmp_path / "valid.tsv").read_bytes() == b""
+    assert load_dataset_dir(tmp_path).valid == []
+
+
+@pytest.mark.parametrize(
+    "entities, relations, kind",
+    [(["a", "b", "a"], ["r"], "entity"), (["a", "b"], ["r", "s", "r"], "relation")],
+)
+def test_vocabulary_rejects_duplicate_names(entities, relations, kind):
+    with pytest.raises(DataError, match=f"duplicate {kind} names"):
+        Vocabulary(entities, relations)
+
+
+MIXED_VOCABULARY = Vocabulary(["a", "b", "c", "d", "e"], ["r", "s"])
+MIXED_TRAIN = [Fact(0, (0, 1)), Fact(1, (1, 2, 3)), Fact(0, (2, 3)), Fact(1, (0, 1, 2, 3)),
+               Fact(0, (3, 4))]
+MIXED_TEST = [Fact(0, (0, 1)), Fact(1, (2, 3, 4)), Fact(1, (1, 2, 3))]
+
+
+def test_split_stats_of_mixed_arities_with_empty_valid():
+    assert split_stats(Dataset(MIXED_VOCABULARY, MIXED_TRAIN, [], MIXED_TEST)) == {
+        "entities": 5,
+        "relations": 2,
+        "max_arity": 4,
+        "train_overlap": 2,
+        "splits": {
+            "train": {"facts": 5, "per_arity": {"2": 3, "3": 1, "4": 1}},
+            "valid": {"facts": 0, "per_arity": {}},
+            "test": {"facts": 3, "per_arity": {"2": 1, "3": 2}},
+        },
+    }
+
+
+def test_dataset_arities_span_every_split():
+    train = [Fact(0, (0, 1, 2, 3)), Fact(0, (0, 1)), Fact(1, (1, 2, 3))]
+    ds = Dataset(MIXED_VOCABULARY, train, [Fact(1, (2, 3, 4))], [Fact(0, (3, 4))])
+    assert ds.arities() == [2, 3, 4] and ds.max_arity == 4
+    ds = Dataset(MIXED_VOCABULARY, MIXED_TRAIN[:1], [], [])
+    assert ds.arities() == [2] and ds.max_arity == 2
+
+
+def test_dataset_errors_in_order():
+    with pytest.raises(DataError, match="dataset has no facts"):
+        Dataset(MIXED_VOCABULARY, [], [], [])
+    # no facts is checked first, then valid/test arities that train lacks
+    with pytest.raises(DataError, match=r"arities \[2, 3\] appear in valid/test but not in train"):
+        Dataset(MIXED_VOCABULARY, [], [], MIXED_TEST)
+    with pytest.raises(DataError, match=r"arities \[3\] appear"):
+        Dataset(MIXED_VOCABULARY, MIXED_TRAIN[:1], [Fact(1, (2, 3, 4))], [])
 
 
 def test_split_accessor_rejects_unknown():

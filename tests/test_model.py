@@ -94,6 +94,15 @@ class TestOneMatrix:
         with pytest.raises(IndexError):
             pack_participants(emb, np.array([0]), np.array([[0, 3]]))
 
+    @pytest.mark.parametrize(
+        "relation, entities, kind", [(-1, [0, 1], "relation"), (0, [0, -1], "entity")]
+    )
+    def test_negative_id_raises(self, relation, entities, kind):
+        # numpy would read id -1 as the last row
+        emb = SegmentedEmbeddings(np.ones((3, 4)), np.ones((2, 4)), 2)
+        with pytest.raises(DataError, match=f"negative {kind} id -1"):
+            pack_participants(emb, np.array([relation]), np.array([entities]))
+
 
 class TestComputeDtype:
     @pytest.mark.parametrize(

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from narytd.blocks import ArchitectureSet, preset_set, zero_assignment
-from narytd.data import Dataset, Fact, Vocabulary
+from narytd.data import Dataset, Fact, Vocabulary, build_filter_index
 from narytd.embeddings import init_embeddings
 from narytd.errors import DataError
+from narytd.evaluation import evaluate
 from narytd.synth import PlantedSpec, generate_planted, random_truth
 from narytd.training import TrainConfig, train_fixed
 
@@ -65,10 +66,22 @@ def test_deterministic_given_seed():
 def test_missing_arity_fails_before_training():
     rng = np.random.default_rng(3)
     ds = tiny_dataset(rng)
-    ds.train.append(Fact(0, (0, 1, 2)))
+    ds = Dataset(ds.vocabulary, ds.train + [Fact(0, (0, 1, 2))], ds.valid, ds.test)
     arch = ArchitectureSet({2: zero_assignment(2, 2)})
     with pytest.raises(DataError):
         train_fixed(arch, ds, TrainConfig(dimension=4, segment_count=2, max_epochs=1))
+
+
+def test_negative_entity_id_fails_training_and_evaluation():
+    # numpy reads id -1 as the last row, in the gather and in the score matrix's
+    # truth column, so without the check this trains and ranks without an error
+    vocab = Vocabulary(["a", "b", "c"], ["r"])
+    ds = Dataset(vocab, [Fact(0, (0, -1)), Fact(0, (1, 2))], [], [Fact(0, (0, -1))])
+    arch = preset_set("cp", 2, 2)
+    with pytest.raises(DataError, match="negative entity id -1"):
+        train_fixed(arch, ds, TrainConfig(dimension=4, segment_count=2, max_epochs=1, eval_every=0))
+    with pytest.raises(DataError, match="negative entity id -1"):
+        evaluate(init_embeddings(3, 1, 4, 2, seed=0), arch, ds, "test", build_filter_index(ds))
 
 
 def test_early_stopping_on_flat_validation():
