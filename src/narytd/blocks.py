@@ -193,11 +193,16 @@ def pack_participants(
     relation; only the first m = min(n, M) segments are gathered. X takes
     the embeddings' dtype. Rows are gathered through the entity_matrix and
     relation_matrix views, so an entity id past the entity rows raises
-    IndexError instead of reading a relation row, and a negative id raises
-    DataError instead of reading a row from the end.
+    IndexError instead of reading a relation row. Ids of other shapes and
+    negative ids raise DataError; a negative id would read a row from the end.
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
+    if entity_ids.ndim != 2 or relation_ids.shape != entity_ids.shape[:1]:
+        raise DataError(
+            f"need relation ids of shape (B,) and entity ids of shape (B, n),"
+            f" got {relation_ids.shape} and {entity_ids.shape}"
+        )
     for kind, ids in (("relation", relation_ids), ("entity", entity_ids)):
         if ids.size and ids.min() < 0:
             raise DataError(f"negative {kind} id {ids.min()}")

@@ -11,7 +11,8 @@ codes: 0 success, 2 usage error, 3 data error or unwritable output, 4
 numeric failure. A non-zero exit prints one line on stderr: a usage
 error omits argparse's usage block, and floating-point warnings are
 silenced, since the finiteness checks report a divergence. search and
-train check that their output directory can be made before any work.
+train check that their output directory can be made and that their
+settings are in range before they read any data.
 """
 
 from __future__ import annotations
@@ -228,18 +229,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     out = _output_dir(args.out)
+    train_config = _build(TrainConfig, cfg)
+    search_config = _build(SearchConfig, cfg)
     dataset = _load_data(cfg, args.data)
     if not dataset.valid:
         valid = Path(args.data) / "valid.tsv"
         raise DataError(f"search needs validation facts, and {valid} is missing or holds none;"
                         " narytd ingest carves a valid.tsv out of train")
-    train_config = _build(TrainConfig, cfg)
-    search_config = _build(SearchConfig, cfg)
     start = time.perf_counter()
     result = search_loop(dataset, search_config, train_config)
     save_architecture(out / "architecture.json", result.architecture)
     save_theta(out / "theta.json", result.distribution)
-    write_file(out / "trace.jsonl", result.trace.to_jsonl())
+    write_file(out / "trace.jsonl", "".join(json_text(record) + "\n" for record in result.trace))
     write_json(out / "config.json", cfg)
     summary = {
         "iterations": len(result.trace),
@@ -268,9 +269,9 @@ def _resolve_architecture(cfg: dict, dataset: Dataset) -> ArchitectureSet:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     out = _output_dir(args.out)
+    config = _build(TrainConfig, cfg)
     dataset = _load_data(cfg, args.data)
     architecture = _resolve_architecture(cfg, dataset)
-    config = _build(TrainConfig, cfg)
     start = time.perf_counter()
     filter_index = build_filter_index(dataset) if dataset.valid else None
     result = train_fixed(

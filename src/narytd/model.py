@@ -260,7 +260,6 @@ def save_checkpoint(
         "dimension": embeddings.dimension,
         "segment_count": embeddings.segment_count,
         "max_arity": architecture.max_arity,
-        "architecture_file": "architecture.json",
         "config": config or {},
     }
     meta.update(extra_meta or {})
@@ -269,7 +268,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, ArchitectureSet, dict]:
-    """Embeddings (float32, copied from the files), architecture and meta of a checkpoint."""
+    """Embeddings (float32, copied from the files), architecture and meta of a
+    checkpoint; the architecture is always the directory's own architecture.json."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     meta = load_json_object(meta_path, "checkpoint meta")
@@ -278,9 +278,6 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     for name, value in (("n_e", n_e), ("n_r", n_r), ("dimension", d)):
         if value < 1:
             raise DataError(f"{what} field {name!r} must be >= 1, got {value}")
-    architecture_file = meta.get("architecture_file")
-    if not isinstance(architecture_file, str):
-        raise DataError(f"{what} field 'architecture_file' must be a string")
     ent, rel = (
         np.frombuffer(require_file(directory / name, "checkpoint matrix").read_bytes(), "<f4")
         for name in ("entities.bin", "relations.bin")
@@ -288,10 +285,11 @@ def load_checkpoint(directory: str | Path) -> tuple[SegmentedEmbeddings, Archite
     if ent.size != n_e * d or rel.size != n_r * d:
         raise DataError("checkpoint matrix sizes do not match meta.json")
     embeddings = SegmentedEmbeddings(ent.reshape(n_e, d), rel.reshape(n_r, d), segments)
-    architecture = load_architecture(directory / architecture_file)
+    architecture_path = directory / "architecture.json"
+    architecture = load_architecture(architecture_path)
     if architecture.segment_count != segments:
         raise DataError(
-            f"{directory / architecture_file} has segment count {architecture.segment_count}, "
+            f"{architecture_path} has segment count {architecture.segment_count}, "
             f"{what} has {segments}"
         )
     return embeddings, architecture, meta

@@ -10,9 +10,9 @@ signal. Two sums keep the per-arity order the blocks once had, so a
 search writes the same bytes as one with a matrix per arity: the signal
 vector lists each block's two free rows block by block, and the entropy
 adds one sum per block; a whole-matrix sum rounds differently.
-The loop alternates one embedding step on a training batch (the loop fixed
-training runs, training.RunState) with one distribution step scored on a
-validation batch, then picks the most probable op per block. Both steps
+The loop alternates one embedding step on a training batch (the step fixed
+training takes, training.RunState.step) with one distribution step scored
+on a validation batch, then picks the most probable op per block. Both steps
 take the lam sampled sets as one list: model.grad_embeddings_mc converts
 the training batch once, and validation_utility ranks the validation
 batch for every set in one evaluation.rank_matrix call, which converts
@@ -21,7 +21,7 @@ and looks up the batch once and scores each distinct set once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .blocks import ArchitectureSet, CoreAssignment, block_count
 from .data import Dataset, Fact, FilterIndex, build_filter_index, int_fields, load_json_object
-from .data import check_seed, json_text, write_json
+from .data import check_seed, write_json
 from .embeddings import SegmentedEmbeddings, init_embeddings
 from .errors import DataError, NumericError
 from .evaluation import rank_matrix
@@ -311,27 +311,10 @@ class SearchConfig:
 
 
 @dataclass
-class SearchTrace:
-    """Append-only per-iteration search log."""
-
-    records: list[dict] = field(default_factory=list)
-
-    def append(self, **record) -> None:
-        record["iteration"] = len(self.records)
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def to_jsonl(self) -> str:
-        return "".join(json_text(r) + "\n" for r in self.records)
-
-
-@dataclass
 class SearchResult:
     architecture: ArchitectureSet
     distribution: ArchitectureDistribution
-    trace: SearchTrace
+    trace: list[dict]  # one record per iteration
     embeddings: SegmentedEmbeddings
 
 
@@ -348,7 +331,8 @@ def search_loop(
     sampled, the Monte-Carlo averaged gradient updates the embeddings, and
     the same samples are scored on a fresh validation batch to update the
     distribution. The embedding steps are training.RunState's, so a one-hot
-    distribution reproduces fixed-architecture training bit for bit.
+    distribution reproduces fixed-architecture training bit for bit. Each
+    iteration appends one record, numbered by its `iteration`, to the trace.
     """
     if not dataset.valid:
         raise DataError("architecture search requires a validation split")
@@ -373,17 +357,12 @@ def search_loop(
         train_config,
     )
     sample_rng = np.random.default_rng([search_config.seed, 1])
-    trace = SearchTrace()
+    trace: list[dict] = []
     valid, tie_policy = dataset.valid, search_config.tie_policy
-    archs: list[ArchitectureSet] = []  # this step's draws
-    stats: list[np.ndarray] = []  # and their one-hot statistics
-
-    def draw() -> list[ArchitectureSet]:
-        archs[:], stats[:] = zip(*sample_architectures(distribution, search_config.lam, sample_rng))
-        return archs
-
     for epoch in range(search_config.search_epochs):
-        for _ in run.epoch(dataset.train, epoch, draw):
+        for batch in run.batches(dataset.train):
+            archs, stats = zip(*sample_architectures(distribution, search_config.lam, sample_rng))
+            run.step(archs, batch, epoch)
             if len(valid) > search_config.val_batch_size:
                 pick = sample_rng.choice(
                     len(valid), size=search_config.val_batch_size, replace=False
@@ -397,16 +376,17 @@ def search_loop(
             weights = per_fact_ranked_weights(per_fact)
             direction = theta_gradient(list(zip(stats, weights.tolist())), distribution)
             distribution, state = asng_update(distribution, direction, state)
-            trace.append(
-                epoch=epoch,
-                utilities=utilities.tolist(),
-                val_mrr=float(utilities.mean()),
-                theta_entropy=distribution.entropy(),
-                sampled_ops=[
+            trace.append({
+                "iteration": len(trace),
+                "epoch": epoch,
+                "utilities": utilities.tolist(),
+                "val_mrr": float(utilities.mean()),
+                "theta_entropy": distribution.entropy(),
+                "sampled_ops": [
                     dict(zip(OP_CODES.tolist(), map(int, stat.sum(axis=1)))) for stat in stats
                 ],
-                trust=state.trust,
-            )
+                "trust": state.trust,
+            })
 
     return SearchResult(derive_final(distribution), distribution, trace, run.embeddings)
 

@@ -1,10 +1,10 @@
-"""The embedding loop (RunState) that fixed training and search share, and train_fixed."""
+"""The embedding step (RunState) that fixed training and search share, and train_fixed."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,19 +75,25 @@ class RunState:
         self.adam = AdamState.for_embeddings(embeddings)
         self.shuffle = np.random.default_rng([config.seed, 0])
 
-    def epoch(self, facts: Sequence[Fact], epoch: int, draw: Callable[[], list]) -> Iterator[float]:
-        """One shuffled pass over the facts. Each batch takes one Adam step at rate
-        lr * decay_rate**epoch on the mean gradient over draw()'s architecture
-        sets, then yields its loss; a non-finite loss raises NumericError."""
-        lr = self.config.learning_rate * self.config.decay_rate**epoch
+    def batches(self, facts: Sequence[Fact]) -> Iterator[list[Fact]]:
+        """One shuffled pass over the facts in batches of batch_size; the
+        permutation is drawn when the first batch is asked for."""
         order, size = self.shuffle.permutation(len(facts)), self.config.batch_size
         for start in range(0, len(facts), size):
-            batch = [facts[i] for i in order[start : start + size]]
-            grads, loss = grad_embeddings_mc(draw(), self.embeddings, batch)
-            if not np.isfinite(loss):
-                raise NumericError(f"loss diverged at epoch {epoch}: {loss}")
-            self.embeddings, self.adam = adam_step(self.embeddings, grads, self.adam, lr)
-            yield loss
+            yield [facts[i] for i in order[start : start + size]]
+
+    def step(
+        self, architectures: Sequence[ArchitectureSet], batch: Sequence[Fact], epoch: int
+    ) -> float:
+        """One Adam step at rate lr * decay_rate**epoch on the batch's mean gradient
+        over the architecture sets; returns the batch loss. A non-finite loss
+        raises NumericError before the embeddings change."""
+        grads, loss = grad_embeddings_mc(architectures, self.embeddings, batch)
+        if not np.isfinite(loss):
+            raise NumericError(f"loss diverged at epoch {epoch}: {loss}")
+        lr = self.config.learning_rate * self.config.decay_rate**epoch
+        self.embeddings, self.adam = adam_step(self.embeddings, grads, self.adam, lr)
+        return loss
 
 
 def check_architecture_covers(architecture: ArchitectureSet, dataset: Dataset) -> None:
@@ -105,9 +111,9 @@ def train_fixed(
 ) -> TrainResult:
     """Train embeddings under one fixed architecture set.
 
-    Runs RunState epochs; stops early when validation MRR has not improved
-    for `patience` consecutive checks. Returns the final embeddings and the
-    per-epoch loss history.
+    Each epoch takes one RunState step per batch of a shuffled pass; stops
+    early when validation MRR has not improved for `patience` consecutive
+    checks. Returns the final embeddings and the per-epoch loss history.
     """
     check_architecture_covers(architecture, dataset)
     if architecture.segment_count != config.segment_count:
@@ -129,7 +135,8 @@ def train_fixed(
     stale = 0
     n_train = len(dataset.train)
     for epoch in range(config.max_epochs):
-        mean_loss = sum(run.epoch(dataset.train, epoch, lambda: [architecture])) / n_train
+        mean_loss = sum(run.step([architecture], b, epoch) for b in run.batches(dataset.train))
+        mean_loss /= n_train
         history.append(LossReport(epoch=epoch, mean_loss=mean_loss, facts=n_train))
         if dataset.valid and config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
             metrics = evaluate(

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from narytd.blocks import load_architecture, preset_set, save_architecture
-from narytd.data import int_fields, write_file, write_json
+from narytd.data import int_fields, json_text, write_file, write_json
 from narytd.embeddings import init_embeddings
 from narytd.errors import DataError, NumericError
 from narytd.model import load_checkpoint, save_checkpoint
-from narytd.search import SearchTrace, init_theta, save_theta
+from narytd.search import init_theta, save_theta
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -75,10 +75,8 @@ class TestWriteFile:
         with pytest.raises(NumericError):
             write_json(tmp_path / "d.json", {"a": [1.0, value]})
         assert os.listdir(tmp_path) == []
-        trace = SearchTrace()
-        trace.append(utilities=[value])
-        with pytest.raises(NumericError):
-            trace.to_jsonl()
+        with pytest.raises(NumericError):  # a search trace record, as search writes it
+            json_text({"iteration": 0, "utilities": [value]})
 
     def test_failed_write_keeps_old_file(self, tmp_path, failing_replace):
         path = tmp_path / "f"

@@ -259,7 +259,8 @@ class TestRunSettings:
         [("train", "--lr", -0.05), ("train", "--lr", "nan"), ("train", "--decay-rate", -1),
          ("train", "--decay-rate", 1.5), ("search", "--theta-lr", "nan"),
          ("search", "--theta-lr", "inf"), ("train", "--patience", -3), ("train", "--patience", 0),
-         ("train", "--eval-every", -1)],
+         ("train", "--eval-every", -1), ("train", "--segments", 0),
+         ("train", "--segments", -1)],
     )
     def test_out_of_domain_value_exits_3(self, command, flag, value, planted_dir, tmp_path,
                                          capsys):
@@ -269,6 +270,19 @@ class TestRunSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, word",
+        [("train", "--segments", 0, "segment count"), ("search", "--lambda", 0, "lam")],
+    )
+    def test_settings_are_checked_before_the_data(self, command, flag, value, word, tmp_path,
+                                                  capsys):
+        extra = ["--preset", "cp"] if command == "train" else []
+        rc = run(command, "--data", tmp_path / "missing", "--out", tmp_path / "o", flag, value,
+                 *extra)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and word in err and "missing" not in err
 
     @pytest.mark.parametrize("command", ["search", "train"])
     def test_diverged_run_exits_4(self, command, planted_dir, tmp_path, capsys):
@@ -628,8 +642,7 @@ class TestMalformedArtifacts:
     def test_meta_without_entity_count(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        meta = {"n_r": 2, "dimension": 8, "segment_count": 2,
-                "architecture_file": "architecture.json"}
+        meta = {"n_r": 2, "dimension": 8, "segment_count": 2}
         (ckpt / "meta.json").write_text(json.dumps(meta))
         rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
         self.assert_data_error(rc, capsys, "n_e")
@@ -638,7 +651,7 @@ class TestMalformedArtifacts:
         "field, value, name",
         [("n_e", 500.0, "'n_e'"), ("segment_count", "4", "'segment_count'"),
          ("dimension", True, "'dimension'"), ("n_r", None, "'n_r'"),
-         ("segment_count", 0, "segment count 0"), ("architecture_file", 5, "'architecture_file'")],
+         ("segment_count", 0, "segment count 0")],
     )
     def test_malformed_meta_field(self, field, value, name, planted_dir, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -650,6 +663,25 @@ class TestMalformedArtifacts:
         (ckpt / "meta.json").write_text(json.dumps(meta))
         rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
         self.assert_data_error(rc, capsys, name)
+
+    def test_architecture_file_key_does_not_leave_the_checkpoint(self, planted_dir, tmp_path,
+                                                                   capsys):
+        # meta.json's architecture_file once named the file eval read, so a
+        # path out of the checkpoint scored with another run's architecture
+        for name, preset in (("cp", "cp"), ("other", "complex")):
+            assert run("train", "--data", planted_dir, "--out", tmp_path / name, "--preset",
+                       preset, "--dim", 8, "--segments", 2, "--epochs", 1, "--eval-every", 0) == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", tmp_path / "cp", "--data", planted_dir) == 0
+        want = json.loads(capsys.readouterr().out)
+        meta = json.loads((tmp_path / "cp" / "meta.json").read_text())
+        written = "architecture_file" in meta
+        meta["architecture_file"] = "../other/architecture.json"
+        (tmp_path / "cp" / "meta.json").write_text(json.dumps(meta))
+        assert run("eval", "--checkpoint", tmp_path / "cp", "--data", planted_dir) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["mrr"] == want["mrr"] and got["hits1"] == want["hits1"]
+        assert not written
 
     @pytest.mark.parametrize("case, name", [("negative", "'n_e'"), ("zero", "'dimension'")])
     def test_meta_size_below_1(self, case, name, planted_dir, tmp_path, capsys):
@@ -684,8 +716,7 @@ class TestMalformedArtifacts:
     def test_checkpoint_without_matrices(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        meta = {"n_e": 4, "n_r": 2, "dimension": 8, "segment_count": 2,
-                "architecture_file": "architecture.json"}
+        meta = {"n_e": 4, "n_r": 2, "dimension": 8, "segment_count": 2}
         (ckpt / "meta.json").write_text(json.dumps(meta))
         rc = run("eval", "--checkpoint", ckpt, "--data", tmp_path)
         self.assert_data_error(rc, capsys, "entities.bin")

@@ -103,6 +103,17 @@ class TestOneMatrix:
         with pytest.raises(DataError, match=f"negative {kind} id -1"):
             pack_participants(emb, np.array([relation]), np.array([entities]))
 
+    @pytest.mark.parametrize(
+        "relations, entities",
+        [([0], [0, 1]), ([0, 1], [[0, 1]]), ([0], [[0, 1], [1, 2]]), ([[0]], [[0, 1]])],
+    )
+    def test_ids_of_other_shapes_raise(self, relations, entities):
+        # a 1-D entity array used to end in an unpacking ValueError, arrays
+        # of different lengths in a reshape ValueError
+        emb = SegmentedEmbeddings(np.ones((3, 4)), np.ones((2, 4)), 2)
+        with pytest.raises(DataError, match="shape"):
+            pack_participants(emb, np.array(relations), np.array(entities))
+
 
 class TestComputeDtype:
     @pytest.mark.parametrize(

@@ -479,8 +479,9 @@ class TestSearchLoop:
         result = search_loop(ds, sc, tc)
         batches_per_epoch = int(np.ceil(len(ds.train) / 32))
         assert len(result.trace) == 3 * batches_per_epoch
-        record = result.trace.records[0]
+        record = result.trace[0]
         assert {"iteration", "epoch", "utilities", "val_mrr", "theta_entropy", "sampled_ops"} <= set(record)
+        assert [r["iteration"] for r in result.trace] == list(range(len(result.trace)))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -528,7 +529,7 @@ class TestSearchLoop:
         for initial, distinct in ((None, lam), (one_hot_distribution(truth), 1)):
             calls.update(dict.fromkeys(calls, 0))
             result = search_loop(ds, sc, tc, initial_theta=initial)
-            assert len(result.trace) == 1 and len(result.trace.records[0]["utilities"]) == lam
+            assert len(result.trace) == 1 and len(result.trace[0]["utilities"]) == lam
             # uniform theta draws distinct sets here; one-hot theta draws one set lam times
             assert calls == {"fact_groups": 1, "pack_participants": 2, "fillers": 2,
                              "candidate_scores": 2 * distinct}
