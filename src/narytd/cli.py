@@ -286,7 +286,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             extra["final_valid_mrr"] = evaluate(
                 result.embeddings, architecture, dataset, "valid", filter_index, cfg["tie_policy"]
             ).mrr
-    save_checkpoint(out, result.embeddings, architecture, config=cfg, extra_meta=extra)
+    save_checkpoint(
+        out, result.embeddings, architecture, dataset.vocabulary, config=cfg, extra_meta=extra
+    )
     write_json(out / "config.json", cfg)
     write_json(out / "loss_history.json", {
         "epochs": [asdict(report) for report in result.history],  # epoch, mean_loss, facts
@@ -314,6 +316,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint {args.checkpoint} has {embeddings.entity_count} entities and "
             f"{embeddings.relation_count} relations, the dataset vocabulary "
             f"{vocab.entity_count} and {vocab.relation_count}"
+        )
+    # equal counts do not mean equal ids: the same facts in another line
+    # order give the names other rows
+    trained_vocab = meta.get("vocabulary_sha256")
+    if trained_vocab is None:
+        raise DataError(
+            f"checkpoint {args.checkpoint} records no vocabulary_sha256, so its rows cannot "
+            "be matched to the dataset's names; retrain it"
+        )
+    if trained_vocab != vocab.sha256():
+        raise DataError(
+            f"checkpoint {args.checkpoint} has vocabulary_sha256 {trained_vocab}, the dataset "
+            f"{vocab.sha256()}: its rows stand for other names"
         )
     start = time.perf_counter()
     metrics = evaluate(embeddings, architecture, dataset, args.split, tie_policy=cfg["tie_policy"])

@@ -24,6 +24,7 @@ read by int_fields.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -69,6 +70,13 @@ class Vocabulary:
     @property
     def relation_count(self) -> int:
         return len(self.relation_names)
+
+    def sha256(self) -> str:
+        """Hex SHA-256 of the entity names, then the relation names, in id
+        order, hashed as one ASCII JSON array of the two lists, which no
+        other pair of lists prints as."""
+        text = json.dumps([self.entity_names, self.relation_names])
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 @dataclass

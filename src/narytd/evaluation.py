@@ -13,9 +13,9 @@ chunk of facts it packs the participants and looks up the known fillers
 (FilterIndex.fillers, (rows, cols) arrays with no Python per query) once
 for all sets. Each distinct set then gets one hole-major score matrix
 (model.candidate_scores: every hole of every fact in the chunk), with
-chunks sized so that matrix stays within _SCORE_BYTES, which bounds
-evaluation memory whatever the split size; a set equal to an earlier one
-takes that set's ranks.
+chunks sized so that matrix holds at most model._SCORE_BLOCK scores
+(16 MB of float64), which bounds evaluation memory whatever the split
+size; a set equal to an earlier one takes that set's ranks.
 
 Ranking computes in float64 whatever the embeddings' dtype: rank_matrix
 upcasts the (float32) trained embeddings once per call, so ranks equal a
@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import model
 from .blocks import ArchitectureSet, pack_participants
 from .data import Dataset, Fact, FilterIndex, build_filter_index, fact_groups
 from .embeddings import SegmentedEmbeddings
@@ -38,10 +39,6 @@ from .model import candidate_scores
 HITS_LEVELS = (1, 3, 10)
 
 TIE_POLICIES = ("optimistic", "pessimistic")
-
-# Upper bound on one chunk's stacked (holes x candidates) float64 score
-# matrix in rank_matrix, in bytes.
-_SCORE_BYTES = 32 << 20
 
 
 @dataclass
@@ -131,12 +128,13 @@ def rank_matrix(
     Facts are scored in float64, in same-arity row chunks. Each chunk is
     packed and its fillers looked up once for all sets, then scored at
     every hole by one candidate_scores call per distinct set, whose
-    hole-major (arity * rows, n_e) matrix stays within _SCORE_BYTES and is
-    the only one alive, so memory grows neither with the number of facts
-    nor with the number of sets; the chunk is then ranked as one block (see
-    _block_ranks). A set equal to an earlier one takes its ranks, which is
-    exact. Embeddings holding a NaN or an infinity raise NumericError: NaN
-    scores would rank every truth first.
+    hole-major (arity * rows, n_e) matrix holds at most model._SCORE_BLOCK
+    scores (one fact's, if a fact's are more) and is the only one alive,
+    so memory grows neither with the number of facts nor with the number
+    of sets; the chunk is then ranked as one block (see _block_ranks). A
+    set equal to an earlier one takes its ranks, which is exact.
+    Embeddings holding a NaN or an infinity raise NumericError: NaN scores
+    would rank every truth first.
     """
     _check_tie_policy(tie_policy)
     matrix = embeddings.matrix
@@ -157,7 +155,7 @@ def rank_matrix(
     ranks = np.zeros((len(architectures), len(facts), max_arity), dtype=np.int64)
     for arity, index, rel_ids, ent_ids in groups:
         assignments = [architectures[i][arity] for i in distinct]
-        step = max(1, _SCORE_BYTES // (8 * arity * embeddings.entity_count))
+        step = max(1, model._SCORE_BLOCK // (arity * embeddings.entity_count))
         for start in range(0, len(index), step):
             rows, rel, ent = (a[start : start + step] for a in (index, rel_ids, ent_ids))
             X = pack_participants(embeddings, rel, ent)

@@ -8,8 +8,11 @@ A batch of B facts of arity n poses n*B queries, one per (fact, entity
 position), the position being the query's hole. One kernels.context_batch
 call over holes 1..n gives their contexts hole-major, reshaped to one
 (n*B, m*ds) matrix, row p*B + b for fact b's hole p. The training
-gradient sweeps the candidates with one matmul against it, and
-candidate_scores, which filtered ranking uses, returns that matmul.
+gradient sweeps the candidates over row blocks of it, one matmul per
+block into one reused buffer of about _SCORE_BLOCK scores, so its memory
+does not grow with the batch; candidate_scores, which filtered ranking
+uses, returns the whole matmul for a chunk of facts that evaluation sizes
+by the same constant.
 
 A gradient and each Adam moment are one array shaped like the
 embeddings' matrix (entity rows, then relation rows; see
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import ArchitectureSet, CoreAssignment, load_architecture, pack_participants, save_architecture
-from .data import Fact, fact_groups, int_fields, load_json_object, require_file
+from .data import Fact, Vocabulary, fact_groups, int_fields, load_json_object, require_file
 from .data import write_file, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
@@ -47,6 +50,12 @@ def candidate_scores(
     C = kernels.context_batch(assignment.codes, X, range(1, P)).reshape((P - 1) * B, m * ds)
     return C @ embeddings.entity_matrix[:, : m * ds].T
 
+
+# Candidate scores in one block: rank_matrix (evaluation) scores at most
+# this many per chunk of facts, and the training sweep (_grad_arity_group)
+# this many or m*ds rows, whichever is more, so neither one's memory grows
+# with the batch or the split.
+_SCORE_BLOCK = 1 << 21
 
 # Upper bound on one row block of the in-place softmax, in bytes: the
 # block's max, exp, sum and divide passes then run in cache.
@@ -76,12 +85,14 @@ def _grad_arity_group(
 
     Each of the B facts yields n queries, one per entity position (hole).
     One context_batch call stacks their contexts hole-major into one
-    (n*B, m*ds) matrix C, so the candidate sweep is one matmul Z = C @ E.T over
-    the used entity columns. The softmax runs in place on Z, with one exp
-    pass over row blocks of at most _SOFTMAX_BLOCK_BYTES; Z then holds
-    G = softmax - onehot(truth), the loss gradient with respect to the
-    candidate scores. The hole gradient G.T @ C and the softmax-weighted candidate
-    mixture G @ E are one matmul each. The remaining
+    (n*B, m*ds) matrix C. The candidate sweep runs over row blocks C_b of
+    C, each the larger of m*ds rows and _SCORE_BLOCK // n_e rows, into one
+    reused block buffer Z_b = C_b @ E.T over the used entity columns. The
+    softmax runs in place on Z_b, with one exp pass over row sub-blocks of
+    at most _SOFTMAX_BLOCK_BYTES; Z_b then holds G_b = softmax -
+    onehot(truth), the loss gradient with respect to the block's candidate
+    scores. Each block adds its hole gradient G_b.T @ C_b and writes its
+    rows of the softmax-weighted candidate mixture G_b @ E. The remaining
     participants of each query get their gradient from contexts in which
     the hole holds that mixture (multilinearity): one context_batch call
     per hole, whose relation and entity rows are scattered into `grads`
@@ -95,29 +106,38 @@ def _grad_arity_group(
     E_used = embeddings.entity_matrix[:, :used]
     grad = grads[:, :used]
     C = kernels.context_batch(codes, X, range(1, n + 1)).reshape(n * B, used)
-    Z = C @ E_used.T
-    rows = np.arange(n * B)
     true_ids = entity_ids.T.ravel()
-    z_true = Z[rows, true_ids]
-    zmax, sums = np.empty(n * B, dtype=Z.dtype), np.empty(n * B, dtype=Z.dtype)
-    step = max(1, _SOFTMAX_BLOCK_BYTES // Z[0].nbytes)
-    for r0 in range(0, n * B, step):
-        block = slice(r0, r0 + step)
-        z = Z[block]
-        zmax[block] = z.max(axis=1)
-        z -= zmax[block, None]
-        np.exp(z, out=z)
-        sums[block] = z.sum(axis=1)
-        z /= sums[block, None]
+    z_true = np.empty(n * B, dtype=C.dtype)
+    zmax, sums = np.empty_like(z_true), np.empty_like(z_true)
+    virtual = np.empty_like(C)
+    # the row floor keeps a block's scores no smaller than E_used, so the
+    # (n_e, used) hole-gradient partial is not rewritten for a few rows
+    rows = min(n * B, max(used, _SCORE_BLOCK // n_e))
+    buffer = np.empty((rows, n_e), dtype=C.dtype)
+    for b0 in range(0, n * B, rows):
+        block = slice(b0, b0 + rows)
+        C_b = C[block]
+        Z = np.matmul(C_b, E_used.T, out=buffer[: len(C_b)])
+        at_truth = np.arange(len(Z)), true_ids[block]
+        z_true[block] = Z[at_truth]
+        step = max(1, _SOFTMAX_BLOCK_BYTES // Z[0].nbytes)
+        for r0 in range(0, len(Z), step):
+            z = Z[r0 : r0 + step]
+            sub = slice(b0 + r0, b0 + r0 + len(z))
+            zmax[sub] = z.max(axis=1)
+            z -= zmax[sub, None]
+            np.exp(z, out=z)
+            sums[sub] = z.sum(axis=1)
+            z /= sums[sub, None]
+        Z[at_truth] -= 1.0
+        # candidates at the hole: every entity row takes its softmax share
+        grad[:n_e] += Z.T @ C_b
+        # remaining slots see the softmax-weighted candidate mixture, which
+        # by multilinearity stands in for the whole candidate sweep
+        virtual[block] = Z @ E_used
+    del Z, buffer
     loss = float((np.log(sums, dtype=np.float64) + zmax - z_true).sum())
-    Z[rows, true_ids] -= 1.0
-    # candidates at the hole: every entity row takes its softmax share
-    # ((C.T @ Z).T: on two OpenBLAS threads Z.T @ C takes ~28 MB more peak memory)
-    grad[:n_e] += (C.T @ Z).T
-    # remaining slots see the softmax-weighted candidate mixture, which
-    # by multilinearity stands in for the whole candidate sweep
-    virtual = (Z @ E_used).reshape(n, B, m, ds)
-    del Z
+    virtual = virtual.reshape(n, B, m, ds)
     for p in range(n):
         Xv = X.copy()
         Xv[:, p + 1] = virtual[p]
@@ -243,10 +263,14 @@ def save_checkpoint(
     directory: str | Path,
     embeddings: SegmentedEmbeddings,
     architecture: ArchitectureSet,
+    vocabulary: Vocabulary,
     config: dict | None = None,
     extra_meta: dict | None = None,
 ) -> Path:
-    """Write meta.json plus raw row-major little-endian float32 matrices."""
+    """Write meta.json plus raw row-major little-endian float32 matrices.
+
+    meta.json records the vocabulary's sha256, so a dataset whose names
+    have other ids than the embeddings' rows can be told apart."""
     directory = Path(directory)
     for name, matrix in (
         ("entities.bin", embeddings.entity_matrix),
@@ -260,6 +284,7 @@ def save_checkpoint(
         "dimension": embeddings.dimension,
         "segment_count": embeddings.segment_count,
         "max_arity": architecture.max_arity,
+        "vocabulary_sha256": vocabulary.sha256(),
         "config": config or {},
     }
     meta.update(extra_meta or {})

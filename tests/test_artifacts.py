@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from narytd.blocks import load_architecture, preset_set, save_architecture
-from narytd.data import int_fields, json_text, write_file, write_json
+from narytd.data import Vocabulary, int_fields, json_text, write_file, write_json
 from narytd.embeddings import init_embeddings
 from narytd.errors import DataError, NumericError
 from narytd.model import load_checkpoint, save_checkpoint
@@ -113,13 +113,14 @@ class TestFailedSaves:
         # the ones not yet written keep their old bytes, and no temp is left
         ckpt = tmp_path / "ckpt"
         old = init_embeddings(5, 2, 8, 2, seed=0)
-        save_checkpoint(ckpt, old, preset_set("cp", 2, 2))
+        vocab = Vocabulary([f"e{i}" for i in range(5)], ["r0", "r1"])
+        save_checkpoint(ckpt, old, preset_set("cp", 2, 2), vocab)
         before = snapshot(ckpt)
         assert set(before) == {"entities.bin", "relations.bin", "architecture.json", "meta.json"}
         replace = fail_after(completed)
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(OSError):
-            save_checkpoint(ckpt, init_embeddings(5, 2, 8, 2, seed=1), preset_set("cp", 2, 2))
+            save_checkpoint(ckpt, init_embeddings(5, 2, 8, 2, seed=1), preset_set("cp", 2, 2), vocab)
         after = snapshot(ckpt)
         assert set(after) == set(before)
         failed = os.path.basename(replace.targets[-1])

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -733,6 +734,40 @@ class TestMalformedArtifacts:
         rc = run("eval", "--checkpoint", tmp_path / "c", "--data", tmp_path / f"s{evaluated}")
         self.assert_data_error(rc, capsys, "the dataset vocabulary")
 
+    def test_checkpoint_on_reordered_train_exits_3(self, planted_dir, tmp_path, capsys):
+        # the same facts in another line order give the names other ids, with
+        # equal counts; eval used to rank against the wrong rows and exit 0
+        ckpt = tmp_path / "c"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1) == 0
+        reordered = tmp_path / "reordered"
+        shutil.copytree(planted_dir, reordered)
+        lines = (planted_dir / "train.tsv").read_text(encoding="utf-8").splitlines()
+        write_facts(reordered / "train.tsv", lines[::-1])
+        want = load_dataset_dir(planted_dir, strict_vocabulary=False).vocabulary
+        got = load_dataset_dir(reordered, strict_vocabulary=False).vocabulary
+        assert sorted(got.entity_names) == sorted(want.entity_names)
+        assert got.entity_names != want.entity_names
+        meta = json.loads((ckpt / "meta.json").read_text())
+        assert meta["vocabulary_sha256"] == want.sha256()
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--data", planted_dir) == 0
+        capsys.readouterr()
+        rc = run("eval", "--checkpoint", ckpt, "--data", reordered)
+        self.assert_data_error(rc, capsys, f"vocabulary_sha256 {want.sha256()}, the dataset "
+                                           f"{got.sha256()}")
+
+    def test_checkpoint_without_vocabulary_hash_exits_3(self, planted_dir, tmp_path, capsys):
+        ckpt = tmp_path / "c"
+        assert run("train", "--data", planted_dir, "--out", ckpt, "--preset", "cp",
+                   "--dim", 8, "--segments", 2, "--epochs", 1) == 0
+        capsys.readouterr()
+        meta = json.loads((ckpt / "meta.json").read_text())
+        del meta["vocabulary_sha256"]
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        rc = run("eval", "--checkpoint", ckpt, "--data", planted_dir)
+        self.assert_data_error(rc, capsys, "retrain")
+
     def test_directory_as_json_file(self, tmp_path, capsys):
         folder = tmp_path / "arch_dir.json"
         folder.mkdir()
@@ -875,7 +910,8 @@ class TestMetricsArtifact:
         write_facts(data / "valid.tsv", [])
         write_facts(data / "test.tsv", ["r\ta\tb"])
         dataset = load_dataset_dir(data, strict_vocabulary=False)
-        save_checkpoint(tmp_path / "ckpt", *memorization_model(dataset.train, dataset.vocabulary))
+        save_checkpoint(tmp_path / "ckpt", *memorization_model(dataset.train, dataset.vocabulary),
+                        dataset.vocabulary)
         assert run("eval", "--checkpoint", tmp_path / "ckpt", "--data", data,
                    "--split", "test") == 0
         doc = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from narytd import evaluation
+from narytd import evaluation, model
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
@@ -207,10 +207,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 5, 8 * 7 * 3 * 5, 8 * 7 * 1000])
     def test_chunked_ranks_equal_brute_force(self, score_bytes, monkeypatch):
         # 7 entities and arity groups of 26 (n=2) and 34 (n=3) facts; a
-        # chunk's stacked matrix takes 8 * n * 7 bytes per fact, so the
+        # chunk's stacked matrix takes n * 7 float64 scores per fact, so the
         # groups are ranked in chunks of 1 fact; of 2 and 1; of 7 and 5
         # facts, each group ending in a short chunk; and whole
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", score_bytes)
+        monkeypatch.setattr(model, "_SCORE_BLOCK", score_bytes // 8)
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
         # small integer embeddings: exact scores, so ties occur and count
@@ -269,7 +269,7 @@ class TestEvaluate:
         assert ranks == [2, 1]
 
     def test_peak_memory_flat_in_split_size(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 1 << 20)
+        monkeypatch.setattr(model, "_SCORE_BLOCK", 1 << 17)
         rng = np.random.default_rng(6)
         n_e, n_r = 4000, 5
         emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
@@ -321,7 +321,7 @@ class TestRankMatrix:
     def test_list_equals_single_sets_stacked(self, score_bytes, monkeypatch):
         # a repeated set takes its first occurrence's ranks; chunks of 1
         # fact, of 7 and 5 facts, and whole groups
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", score_bytes)
+        monkeypatch.setattr(model, "_SCORE_BLOCK", score_bytes // 8)
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
         emb = SegmentedEmbeddings(
@@ -340,7 +340,7 @@ class TestRankMatrix:
             assert query_ranks(emb, b, facts, fi, policy) == want[1][want[1] > 0].tolist()
 
     def test_equal_sets_scored_once_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 8 * 7 * 3 * 5)  # 2 chunks per group
+        monkeypatch.setattr(model, "_SCORE_BLOCK", 7 * 3 * 5)  # 2 chunks per group
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=40, arities=(2, 3))
         emb = SegmentedEmbeddings(rng.normal(size=(7, 4)), rng.normal(size=(2, 4)), 2)
@@ -357,10 +357,27 @@ class TestRankMatrix:
             rank_matrix(emb, sets, ds.train, fi)
             assert len(calls) == distinct * chunks
 
+    def test_ranks_do_not_depend_on_chunk_size(self, monkeypatch):
+        # 300 facts per arity over 4000 entities: 2**19 scores make chunks of
+        # 65 and 43 facts, 2**21 of 262 and 174, 2**22 of 524 and 349
+        rng = np.random.default_rng(11)
+        n_e, n_r = 4000, 5
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
+        facts = [Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=n)))
+                 for n in (2, 3) for _ in range(300)]
+        fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
+                                                   [f"r{i}" for i in range(n_r)]), facts, [], []))
+        sets = [random_architecture(rng), random_architecture(rng)]
+        ranks = []
+        for scores in (1 << 19, 1 << 21, 1 << 22):
+            monkeypatch.setattr(model, "_SCORE_BLOCK", scores)
+            ranks.append(rank_matrix(emb, sets, facts, fi))
+        assert np.array_equal(ranks[0], ranks[1]) and np.array_equal(ranks[1], ranks[2])
+
     def test_peak_memory_flat_in_set_count(self, monkeypatch):
-        # one score matrix of at most _SCORE_BYTES is alive at a time, however
-        # many sets are ranked: a second one alive would double the peak
-        monkeypatch.setattr(evaluation, "_SCORE_BYTES", 1 << 20)
+        # one score matrix of at most _SCORE_BLOCK scores is alive at a time,
+        # however many sets are ranked: a second one alive would double the peak
+        monkeypatch.setattr(model, "_SCORE_BLOCK", 1 << 17)
         rng = np.random.default_rng(10)
         n_e, n_r = 4000, 5
         emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from narytd.blocks import (
     preset_set,
     zero_assignment,
 )
-from narytd.data import Fact, fact_groups
+from narytd.data import Fact, Vocabulary, fact_groups
 from narytd.embeddings import SegmentedEmbeddings, init_embeddings
 from narytd.errors import DataError
 from narytd.model import (
@@ -402,11 +404,13 @@ class TestStackedGradient:
     def test_matches_per_hole_reference(self, M, softmax_bytes, monkeypatch):
         # arities 2-4 give m = min(n, M): 1 for M=1, 2 for M=2, and with
         # M=3 an arity-2 group whose used columns stop short of d; the
-        # softmax runs in row blocks of 1, 5 and all rows
+        # softmax runs in row blocks of 1, 5 and all rows. Groups of 8, 12
+        # and 16 rows are swept in blocks of m*ds rows (1 row at d=1,
+        # otherwise 4 or 6, with short last blocks), of 7 rows (63 // 9
+        # candidates, above that floor at d=6) and whole
         monkeypatch.setattr(model, "_SOFTMAX_BLOCK_BYTES", softmax_bytes)
         rng = np.random.default_rng(20 + M)
-        n_e, n_r, d = 9, 3, 6
-        emb = SegmentedEmbeddings(rng.normal(size=(n_e, d)), rng.normal(size=(n_r, d)), M)
+        n_e, n_r = 9, 3
         arch = ArchitectureSet({
             n: CoreAssignment(n, M, rng.choice([-1, 0, 1], size=min(n, M) ** (n + 1)).astype(np.int8))
             for n in (2, 3, 4)
@@ -416,11 +420,61 @@ class TestStackedGradient:
             Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=n)))
             for n in (2, 3, 4, 2, 3, 4, 4, 2, 3, 3, 2, 4)
         ]
-        grads, loss = grad_embeddings_mc([arch], emb, facts)
-        ref_ent, ref_rel, ref_loss = per_hole_grad_batch(arch, emb, facts)
-        np.testing.assert_allclose(grads[:n_e], ref_ent, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grads[n_e:], ref_rel, rtol=1e-12, atol=1e-12)
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for d in (1, 6) if M == 1 else (6,):
+            emb = SegmentedEmbeddings(rng.normal(size=(n_e, d)), rng.normal(size=(n_r, d)), M)
+            ref_ent, ref_rel, ref_loss = per_hole_grad_batch(arch, emb, facts)
+            for score_block in (1, 9 * 7, 1 << 20):
+                monkeypatch.setattr(model, "_SCORE_BLOCK", score_block)
+                grads, loss = grad_embeddings_mc([arch], emb, facts)
+                np.testing.assert_allclose(grads[:n_e], ref_ent, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(grads[n_e:], ref_rel, rtol=1e-12, atol=1e-12)
+                assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+    def test_float32_blocks_match_one_block(self, monkeypatch):
+        # a 20k-benchmark-like step (d=128, M=2, arity 3) over 4000 entities:
+        # 768 rows swept in blocks of 2**21 // 4000 = 524 rows, then in one
+        rng = np.random.default_rng(24)
+        n_e, n_r, B = 4000, 10, 256
+        emb = SegmentedEmbeddings(
+            rng.normal(scale=0.5, size=(n_e, 128)).astype(np.float32),
+            rng.normal(scale=0.5, size=(n_r, 128)).astype(np.float32),
+            2,
+        )
+        facts = [Fact(int(r), tuple(int(x) for x in e))
+                 for r, e in zip(rng.integers(n_r, size=B), rng.integers(n_e, size=(B, 3)))]
+        arch = preset_set("cp", 3, 2)
+        blocked, blocked_loss = grad_embeddings_mc([arch], emb, facts)
+        monkeypatch.setattr(model, "_SCORE_BLOCK", 3 * B * n_e)
+        whole, whole_loss = grad_embeddings_mc([arch], emb, facts)
+        assert blocked.dtype == np.float32
+        assert np.abs(blocked - whole).max() <= 1e-6 * np.abs(whole).max()
+        assert blocked_loss == pytest.approx(whole_loss, rel=1e-6)
+
+    def test_peak_memory_flat_in_batch_size(self, monkeypatch):
+        # the sweep's one score buffer holds 2**18 // 20000 = 13 rows, so a
+        # 4x batch adds only its own rows; a whole (n*B, n_e) score matrix
+        # would be 10 MB at B=64 and 41 MB at B=256
+        monkeypatch.setattr(model, "_SCORE_BLOCK", 1 << 18)
+        rng = np.random.default_rng(25)
+        n_e, n_r = 20000, 5
+        emb = SegmentedEmbeddings(
+            rng.normal(size=(n_e, 8)).astype(np.float32),
+            rng.normal(size=(n_r, 8)).astype(np.float32),
+            2,
+        )
+        arch = preset_set("cp", 2, 2)
+        facts = [Fact(int(r), tuple(int(x) for x in e))
+                 for r, e in zip(rng.integers(n_r, size=256), rng.integers(n_e, size=(256, 2)))]
+        peaks = []
+        for batch in (facts[:64], facts):
+            tracemalloc.start()
+            try:
+                grad_embeddings_mc([arch], emb, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0]
+        assert max(peaks) < 4 << 20
 
 
 class TestAdam:
@@ -485,10 +539,13 @@ class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         emb = init_embeddings(4, 3, 8, 2, seed=1)
         arch = preset_set("cp", 3, 2)
-        save_checkpoint(tmp_path / "ckpt", emb, arch, config={"seed": 1}, extra_meta={"final_valid_mrr": 0.5})
+        vocab = Vocabulary(["a", "b", "c", "d"], ["r", "s", "t"])
+        save_checkpoint(tmp_path / "ckpt", emb, arch, vocab, config={"seed": 1},
+                        extra_meta={"final_valid_mrr": 0.5})
         back, arch2, meta = load_checkpoint(tmp_path / "ckpt")
         assert arch2 == arch
         assert meta["final_valid_mrr"] == 0.5
+        assert meta["vocabulary_sha256"] == vocab.sha256()
         assert meta["n_e"] == 4 and meta["dimension"] == 8
         # float32 embeddings come back unchanged, as writable float32
         for got, saved in ((back.entity_matrix, emb.entity_matrix),
@@ -500,7 +557,7 @@ class TestCheckpoints:
         emb = SegmentedEmbeddings(
             np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0]]), 1
         )
-        save_checkpoint(tmp_path / "c", emb, preset_set("cp", 2, 1))
+        save_checkpoint(tmp_path / "c", emb, preset_set("cp", 2, 1), Vocabulary(["a", "b"], ["r"]))
         raw = (tmp_path / "c" / "entities.bin").read_bytes()
         vals = np.frombuffer(raw, dtype="<f4")
         assert vals.tolist() == [1.0, 2.0, 3.0, 4.0]
