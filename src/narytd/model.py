@@ -9,10 +9,13 @@ position), the position being the query's hole. One kernels.context_batch
 call over holes 1..n gives their contexts hole-major, reshaped to one
 (n*B, m*ds) matrix, row p*B + b for fact b's hole p. The training
 gradient sweeps the candidates over row blocks of it, one matmul per
-block into one reused buffer of about _SCORE_BLOCK scores, so its memory
-does not grow with the batch; candidate_scores, which filtered ranking
-uses, returns the whole matmul for a chunk of facts that evaluation sizes
-by the same constant.
+block into one reused buffer of about _SCORE_BLOCK scores, and each block
+adds its hole gradient in entity slices through one reused buffer of at
+most _CACHE_BLOCK_BYTES, so its memory does not grow with the batch and
+holds no array of the vocabulary's size beyond the gradient and the
+score buffer; candidate_scores, which filtered ranking uses, returns the
+whole matmul for a chunk of facts that evaluation sizes by the same
+constant.
 
 A gradient and each Adam moment are one array shaped like the
 embeddings' matrix (entity rows, then relation rows; see
@@ -57,9 +60,10 @@ def candidate_scores(
 # with the batch or the split.
 _SCORE_BLOCK = 1 << 21
 
-# Upper bound on one row block of the in-place softmax, in bytes: the
-# block's max, exp, sum and divide passes then run in cache.
-_SOFTMAX_BLOCK_BYTES = 2 << 20
+# Upper bound, in bytes, on one row block of the in-place softmax and on
+# one entity slice of the hole gradient: the softmax block's max, exp, sum
+# and divide passes, and the slice's add into the gradient, run in cache.
+_CACHE_BLOCK_BYTES = 2 << 20
 
 
 def _scatter_rows(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -89,14 +93,16 @@ def _grad_arity_group(
     C, each the larger of m*ds rows and _SCORE_BLOCK // n_e rows, into one
     reused block buffer Z_b = C_b @ E.T over the used entity columns. The
     softmax runs in place on Z_b, with one exp pass over row sub-blocks of
-    at most _SOFTMAX_BLOCK_BYTES; Z_b then holds G_b = softmax -
+    at most _CACHE_BLOCK_BYTES; Z_b then holds G_b = softmax -
     onehot(truth), the loss gradient with respect to the block's candidate
-    scores. Each block adds its hole gradient G_b.T @ C_b and writes its
-    rows of the softmax-weighted candidate mixture G_b @ E. The remaining
-    participants of each query get their gradient from contexts in which
-    the hole holds that mixture (multilinearity): one context_batch call
-    per hole, whose relation and entity rows are scattered into `grads`
-    (shaped like embeddings.matrix) by one call.
+    scores. Each block adds its hole gradient G_b.T @ C_b in entity
+    slices, each slice's product written into one reused buffer of at most
+    _CACHE_BLOCK_BYTES, and writes its rows of the softmax-weighted
+    candidate mixture G_b @ E. The remaining participants of each query
+    get their gradient from contexts in which the hole holds that mixture
+    (multilinearity): one context_batch call per hole, whose relation and
+    entity rows are scattered into `grads` (shaped like embeddings.matrix)
+    by one call.
     """
     B, n = entity_ids.shape
     X = pack_participants(embeddings, relation_ids, entity_ids)
@@ -111,16 +117,18 @@ def _grad_arity_group(
     zmax, sums = np.empty_like(z_true), np.empty_like(z_true)
     virtual = np.empty_like(C)
     # the row floor keeps a block's scores no smaller than E_used, so the
-    # (n_e, used) hole-gradient partial is not rewritten for a few rows
+    # (n_e, used) hole gradient is not added into for a few rows
     rows = min(n * B, max(used, _SCORE_BLOCK // n_e))
     buffer = np.empty((rows, n_e), dtype=C.dtype)
+    width = min(n_e, max(1, _CACHE_BLOCK_BYTES // (used * C.itemsize)))
+    partial = np.empty((width, used), dtype=C.dtype)
     for b0 in range(0, n * B, rows):
         block = slice(b0, b0 + rows)
         C_b = C[block]
         Z = np.matmul(C_b, E_used.T, out=buffer[: len(C_b)])
         at_truth = np.arange(len(Z)), true_ids[block]
         z_true[block] = Z[at_truth]
-        step = max(1, _SOFTMAX_BLOCK_BYTES // Z[0].nbytes)
+        step = max(1, _CACHE_BLOCK_BYTES // Z[0].nbytes)
         for r0 in range(0, len(Z), step):
             z = Z[r0 : r0 + step]
             sub = slice(b0 + r0, b0 + r0 + len(z))
@@ -131,11 +139,13 @@ def _grad_arity_group(
             z /= sums[sub, None]
         Z[at_truth] -= 1.0
         # candidates at the hole: every entity row takes its softmax share
-        grad[:n_e] += Z.T @ C_b
+        for e0 in range(0, n_e, width):
+            part = np.matmul(Z[:, e0 : e0 + width].T, C_b, out=partial[: min(width, n_e - e0)])
+            grad[e0 : e0 + len(part)] += part
         # remaining slots see the softmax-weighted candidate mixture, which
         # by multilinearity stands in for the whole candidate sweep
         virtual[block] = Z @ E_used
-    del Z, buffer
+    del Z, z, buffer, part, partial  # the views too, so the buffers are freed
     loss = float((np.log(sums, dtype=np.float64) + zmax - z_true).sum())
     virtual = virtual.reshape(n, B, m, ds)
     for p in range(n):

@@ -399,16 +399,18 @@ def per_hole_grad_batch(architecture, embeddings, facts):
 
 
 class TestStackedGradient:
-    @pytest.mark.parametrize("softmax_bytes", [1, 8 * 9 * 5, 1 << 20])
+    @pytest.mark.parametrize("cache_bytes", [1, 8 * 9 * 5, 1 << 20])
     @pytest.mark.parametrize("M", [1, 2, 3])
-    def test_matches_per_hole_reference(self, M, softmax_bytes, monkeypatch):
+    def test_matches_per_hole_reference(self, M, cache_bytes, monkeypatch):
         # arities 2-4 give m = min(n, M): 1 for M=1, 2 for M=2, and with
         # M=3 an arity-2 group whose used columns stop short of d; the
-        # softmax runs in row blocks of 1, 5 and all rows. Groups of 8, 12
-        # and 16 rows are swept in blocks of m*ds rows (1 row at d=1,
-        # otherwise 4 or 6, with short last blocks), of 7 rows (63 // 9
-        # candidates, above that floor at d=6) and whole
-        monkeypatch.setattr(model, "_SOFTMAX_BLOCK_BYTES", softmax_bytes)
+        # softmax runs in row blocks of 1, 5 and all rows, and the hole
+        # gradient in slices of 1 entity, of 7 entities with a short last
+        # slice (360 // (8 * 6) at 6 used columns; one slice at fewer) and
+        # of all 9. Groups of 8, 12 and 16 rows are swept in blocks of m*ds
+        # rows (1 row at d=1, otherwise 4 or 6, with short last blocks), of
+        # 7 rows (63 // 9 candidates, above that floor at d=6) and whole
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
         rng = np.random.default_rng(20 + M)
         n_e, n_r = 9, 3
         arch = ArchitectureSet({
@@ -475,6 +477,31 @@ class TestStackedGradient:
                 tracemalloc.stop()
         assert peaks[1] < 1.3 * peaks[0]
         assert max(peaks) < 4 << 20
+
+    def test_peak_memory_holds_no_whole_hole_gradient_partial(self):
+        # a 20k-benchmark-like step (d=128, M=2, arity 3): the gradient and
+        # the 128-row score buffer are 10 MB each, and the hole gradient
+        # goes through one 2 MB slice buffer; a whole (n_e, m*ds) partial
+        # would add another 10 MB
+        rng = np.random.default_rng(26)
+        n_e, n_r, B = 20000, 10, 256
+        emb = SegmentedEmbeddings(
+            rng.normal(scale=0.5, size=(n_e, 128)).astype(np.float32),
+            rng.normal(scale=0.5, size=(n_r, 128)).astype(np.float32),
+            2,
+        )
+        facts = [Fact(int(r), tuple(int(x) for x in e))
+                 for r, e in zip(rng.integers(n_r, size=B), rng.integers(n_e, size=(B, 3)))]
+        arch = preset_set("cp", 3, 2)
+        tracemalloc.start()
+        try:
+            grads, _ = grad_embeddings_mc([arch], emb, facts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = max(128, model._SCORE_BLOCK // n_e)
+        score_buffer = rows * n_e * grads.itemsize
+        assert peak < grads.nbytes + score_buffer + 2 * model._CACHE_BLOCK_BYTES + (2 << 20)
 
 
 class TestAdam:
