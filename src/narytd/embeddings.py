@@ -70,9 +70,22 @@ def init_embeddings(
 
     The draws are float64 rounded to float32, so training computes in
     float32 (see SegmentedEmbeddings), whose constructor checks the shape.
+    They are written straight into the matrix in row blocks of about 1 MB
+    of float64, entity rows first, so no (n, d) float64 array is made;
+    each entry takes one draw from the stream, so the values equal those
+    of one whole entity draw followed by one whole relation draw.
     """
+    zero = np.float32(0.0)
+    embeddings = SegmentedEmbeddings(
+        np.broadcast_to(zero, (entity_count, dimension)),
+        np.broadcast_to(zero, (relation_count, dimension)),
+        segment_count,
+    )
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / dimension)
-    ent = rng.uniform(-bound, bound, size=(entity_count, dimension))
-    rel = rng.uniform(-bound, bound, size=(relation_count, dimension))
-    return SegmentedEmbeddings(ent.astype(np.float32), rel.astype(np.float32), segment_count)
+    matrix = embeddings.matrix
+    rows = max(1, (1 << 20) // (8 * dimension))
+    for r0 in range(0, len(matrix), rows):
+        block = matrix[r0 : r0 + rows]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return embeddings

@@ -1,4 +1,4 @@
-"""Candidate scores, the multi-class log loss gradient, Adam, checkpoints.
+"""The multi-class log loss gradient, Adam, checkpoints.
 
 Positions are 0-based throughout: a fact of arity n has entity positions
 0..n-1, and participant q in the packed kernel layout is the relation for
@@ -13,13 +13,13 @@ block into one reused buffer of about _SCORE_BLOCK scores, and each block
 adds its hole gradient in entity slices through one reused buffer of at
 most _CACHE_BLOCK_BYTES, so its memory does not grow with the batch and
 holds no array of the vocabulary's size beyond the gradient and the
-score buffer; candidate_scores, which filtered ranking uses, returns the
-whole matmul for a chunk of facts that evaluation sizes by the same
-constant.
+score buffer. Filtered ranking (evaluation.rank_matrix) pairs the same
+contexts with the entity rows in float64 tiles of at most
+_CACHE_BLOCK_BYTES, and holds no array of the vocabulary's size.
 
 A gradient and each Adam moment are one array shaped like the
 embeddings' matrix (entity rows, then relation rows; see
-SegmentedEmbeddings). Scores, gradients and Adam moments take the
+SegmentedEmbeddings). Training's scores, gradients and Adam moments take the
 embeddings' dtype (float32 for trained embeddings, see init_embeddings);
 loss sums are float64.
 """
@@ -33,36 +33,23 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .blocks import ArchitectureSet, CoreAssignment, load_architecture, pack_participants, save_architecture
+from .blocks import ArchitectureSet, load_architecture, pack_participants, save_architecture
 from .data import Fact, Vocabulary, fact_groups, int_fields, load_json_object, require_file
 from .data import write_file, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
 
 
-def candidate_scores(
-    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, X: np.ndarray
-) -> np.ndarray:
-    """Scores of every entity at every hole of a packed batch, (n*B, n_e).
-
-    Rows are hole-major: row p*B + b scores each entity substituted at
-    position p of fact b. The candidate sweep is one matrix product
-    against the entity rows' active prefix.
-    """
-    B, P, m, ds = X.shape
-    C = kernels.context_batch(assignment.codes, X, range(1, P)).reshape((P - 1) * B, m * ds)
-    return C @ embeddings.entity_matrix[:, : m * ds].T
-
-
-# Candidate scores in one block: rank_matrix (evaluation) scores at most
-# this many per chunk of facts, and the training sweep (_grad_arity_group)
-# this many or m*ds rows, whichever is more, so neither one's memory grows
-# with the batch or the split.
+# Candidate scores in one block of the training sweep (_grad_arity_group):
+# this many or m*ds rows, whichever is more, so its memory does not grow
+# with the batch.
 _SCORE_BLOCK = 1 << 21
 
-# Upper bound, in bytes, on one row block of the in-place softmax and on
-# one entity slice of the hole gradient: the softmax block's max, exp, sum
-# and divide passes, and the slice's add into the gradient, run in cache.
+# Upper bound, in bytes, on one row block of the in-place softmax, on one
+# entity slice of the hole gradient, and on each of filtered ranking's
+# chunk contexts, entity slice and score tile (evaluation.rank_matrix):
+# the softmax block's max, exp, sum and divide passes, the slice's add
+# into the gradient and each ranking tile's matmul and counts run in cache.
 _CACHE_BLOCK_BYTES = 2 << 20
 
 

@@ -1,8 +1,10 @@
 """Reference constructions the tests check the library against.
 
-score_fact scores one fact through the batch path; memorization_model
-builds embeddings that reproduce a fact set exactly. The library itself
-scores batches only and never needs an exact memorization.
+score_fact scores one fact through the batch path; candidate_scores
+scores every entity at every hole of a packed batch as one whole matrix;
+memorization_model builds embeddings that reproduce a fact set exactly.
+The library itself scores batches, ranks candidates in tiles and never
+needs an exact memorization.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from narytd import kernels
 from narytd.blocks import ArchitectureSet, CoreAssignment, preset_set, score_batch
 from narytd.data import Fact, Vocabulary, fact_groups
 from narytd.embeddings import SegmentedEmbeddings
@@ -23,6 +26,20 @@ def score_fact(
     """Multilinear block-sparse score of one fact."""
     [(_, _, relation_ids, entity_ids)] = fact_groups([fact])
     return float(score_batch(assignment, embeddings, relation_ids, entity_ids)[0])
+
+
+def candidate_scores(
+    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, X: np.ndarray
+) -> np.ndarray:
+    """Scores of every entity at every hole of a packed batch, (n*B, n_e).
+
+    Rows are hole-major: row p*B + b scores each entity substituted at
+    position p of fact b; one matrix product of the holes' contexts
+    against the entity rows' active prefix.
+    """
+    B, P, m, ds = X.shape
+    C = kernels.context_batch(assignment.codes, X, range(1, P)).reshape((P - 1) * B, m * ds)
+    return C @ embeddings.entity_matrix[:, : m * ds].T
 
 
 def memorization_model(

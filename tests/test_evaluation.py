@@ -21,7 +21,7 @@ from narytd.data import (
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
 from narytd.evaluation import (
-    _block_ranks,
+    _tile_ranks,
     aggregate,
     evaluate,
     hits_at,
@@ -29,17 +29,19 @@ from narytd.evaluation import (
     query_ranks,
     rank_matrix,
 )
-from narytd.model import candidate_scores
-
-from oracles import memorization_model, score_fact
+from oracles import candidate_scores, memorization_model, score_fact
 
 
 def block_ranks(Z, truth, known, tie_policy="optimistic"):
-    """_block_ranks of score rows Z, with each row's known fillers given as a set."""
+    """_tile_ranks of score rows Z, with each row's known fillers given as a set.
+
+    The rows of Z are the contexts and the entity rows an identity, so the
+    tiles hold exactly Z's scores."""
     pairs = [(b, c) for b, cols in enumerate(known) for c in sorted(cols)]
     rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     Z = np.asarray(Z, dtype=np.float64)
-    return _block_ranks(Z, np.asarray(truth), rows, cols, tie_policy).tolist()
+    beats = np.greater_equal if tie_policy == "pessimistic" else np.greater
+    return _tile_ranks(Z, np.eye(Z.shape[1]), np.asarray(truth), rows, cols, beats).tolist()
 
 
 class TestFilteredRank:
@@ -204,13 +206,15 @@ class TestEvaluate:
         new_ranks = query_ranks(emb, arch, [target], build_filter_index(augmented))
         assert all(n <= b for n, b in zip(new_ranks, base_ranks))
 
-    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 5, 8 * 7 * 3 * 5, 8 * 7 * 1000])
-    def test_chunked_ranks_equal_brute_force(self, score_bytes, monkeypatch):
+    @pytest.mark.parametrize("cache_bytes", [1, 8 * 7 * 5, 8 * 7 * 3 * 5, 8 * 7 * 1000])
+    def test_chunked_ranks_equal_brute_force(self, cache_bytes, monkeypatch):
         # 7 entities and arity groups of 26 (n=2) and 34 (n=3) facts; a
-        # chunk's stacked matrix takes n * 7 float64 scores per fact, so the
-        # groups are ranked in chunks of 1 fact; of 2 and 1; of 7 and 5
-        # facts, each group ending in a short chunk; and whole
-        monkeypatch.setattr(model, "_SCORE_BLOCK", score_bytes // 8)
+        # chunk's contexts take n * 4 float64 values per fact, so the groups
+        # are ranked in chunks of 1 fact; of 4 and 2 facts, the first group
+        # ending in a short chunk; of 13 and 8, the second ending in one; and
+        # whole. The tiles are 1 x 1; 5 x 5, the last entity slice partial;
+        # and 7 x 7 for the other two
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
         # small integer embeddings: exact scores, so ties occur and count
@@ -268,25 +272,26 @@ class TestEvaluate:
         ranks = query_ranks(emb, preset_set("cp", 2, 1), [fact], fi, "pessimistic")
         assert ranks == [2, 1]
 
-    def test_peak_memory_flat_in_split_size(self, monkeypatch):
-        monkeypatch.setattr(model, "_SCORE_BLOCK", 1 << 17)
+    def test_peak_memory_flat_in_split_size(self):
+        # 128 used float64 columns: a chunk's 2 MB of contexts holds 1024
+        # arity-2 facts, so the two splits take one whole chunk and three
         rng = np.random.default_rng(6)
         n_e, n_r = 4000, 5
-        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
+        emb = SegmentedEmbeddings(rng.normal(size=(n_e, 128)), rng.normal(size=(n_r, 128)), 2)
         arch = preset_set("cp", 2, 2)
         facts = [Fact(int(rng.integers(n_r)), tuple(int(x) for x in rng.integers(n_e, size=2)))
-                 for _ in range(1000)]
+                 for _ in range(3072)]
         fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
                                                    [f"r{i}" for i in range(n_r)]), facts, [], []))
         peaks = []
-        for split in (facts[:100], facts):
+        for split in (facts[:1024], facts):
             tracemalloc.start()
             try:
                 query_ranks(emb, arch, split, fi)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # one whole 1000 x 4000 score matrix alone would be 32 MB
+        # one whole 6144 x 4000 score matrix alone would be 197 MB
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_empty_split_errors(self):
@@ -317,11 +322,11 @@ def random_architecture(rng, arities=(2, 3), segment_count=2):
 
 
 class TestRankMatrix:
-    @pytest.mark.parametrize("score_bytes", [1, 8 * 7 * 3 * 5, 32 << 20])
-    def test_list_equals_single_sets_stacked(self, score_bytes, monkeypatch):
+    @pytest.mark.parametrize("cache_bytes", [1, 8 * 7 * 3 * 5, 32 << 20])
+    def test_list_equals_single_sets_stacked(self, cache_bytes, monkeypatch):
         # a repeated set takes its first occurrence's ranks; chunks of 1
-        # fact, of 7 and 5 facts, and whole groups
-        monkeypatch.setattr(model, "_SCORE_BLOCK", score_bytes // 8)
+        # fact, of 13 and 8 facts, and whole groups
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=60, arities=(2, 3))
         emb = SegmentedEmbeddings(
@@ -340,26 +345,36 @@ class TestRankMatrix:
             assert query_ranks(emb, b, facts, fi, policy) == want[1][want[1] > 0].tolist()
 
     def test_equal_sets_scored_once_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(model, "_SCORE_BLOCK", 7 * 3 * 5)  # 2 chunks per group
+        # chunks of 7 (n=2) and 5 (n=3) facts: 2 or more per group
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", 8 * 4 * 3 * 5)
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n_e=7, n_r=2, facts=40, arities=(2, 3))
         emb = SegmentedEmbeddings(rng.normal(size=(7, 4)), rng.normal(size=(2, 4)), 2)
         fi = build_filter_index(ds)
         calls = []
-        monkeypatch.setattr(evaluation, "candidate_scores",
-                            lambda *args: calls.append(args[0]) or candidate_scores(*args))
+        fillers = []
+        context_batch = evaluation.context_batch
+        monkeypatch.setattr(evaluation, "context_batch",
+                            lambda *args: calls.append(args[0]) or context_batch(*args))
+        lookup = type(fi).fillers
+        monkeypatch.setattr(type(fi), "fillers",
+                            lambda self, *args: fillers.append(args) or lookup(self, *args))
         a, b = random_architecture(rng), random_architecture(rng)
         rank_matrix(emb, [a], ds.train, fi)
         chunks = len(calls)
         assert chunks > 2  # more than one chunk per arity group
         for sets, distinct in (([a, a, a], 1), ([a, b, a], 2), ([b, a, b, a], 2)):
             calls.clear()
+            fillers.clear()
             rank_matrix(emb, sets, ds.train, fi)
+            # each distinct set's contexts once per chunk, one filler lookup per chunk
             assert len(calls) == distinct * chunks
+            assert len(fillers) == chunks
 
     def test_ranks_do_not_depend_on_chunk_size(self, monkeypatch):
-        # 300 facts per arity over 4000 entities: 2**19 scores make chunks of
-        # 65 and 43 facts, 2**21 of 262 and 174, 2**22 of 524 and 349
+        # 300 facts per arity over 4000 entities and 8 used columns: 2**14
+        # bytes make chunks of 128 and 85 facts and tiles 45 wide, 2**17
+        # whole groups and tiles 128 wide, 2**21 tiles 512 wide
         rng = np.random.default_rng(11)
         n_e, n_r = 4000, 5
         emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
@@ -369,15 +384,16 @@ class TestRankMatrix:
                                                    [f"r{i}" for i in range(n_r)]), facts, [], []))
         sets = [random_architecture(rng), random_architecture(rng)]
         ranks = []
-        for scores in (1 << 19, 1 << 21, 1 << 22):
-            monkeypatch.setattr(model, "_SCORE_BLOCK", scores)
+        for cache_bytes in (1 << 14, 1 << 17, 1 << 21):
+            monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
             ranks.append(rank_matrix(emb, sets, facts, fi))
         assert np.array_equal(ranks[0], ranks[1]) and np.array_equal(ranks[1], ranks[2])
 
     def test_peak_memory_flat_in_set_count(self, monkeypatch):
-        # one score matrix of at most _SCORE_BLOCK scores is alive at a time,
-        # however many sets are ranked: a second one alive would double the peak
-        monkeypatch.setattr(model, "_SCORE_BLOCK", 1 << 17)
+        # one set's contexts and tiles of at most _CACHE_BLOCK_BYTES are alive
+        # at a time, however many sets are ranked: a second set's alive would
+        # double the peak
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", 1 << 17)
         rng = np.random.default_rng(10)
         n_e, n_r = 4000, 5
         emb = SegmentedEmbeddings(rng.normal(size=(n_e, 8)), rng.normal(size=(n_r, 8)), 2)
@@ -396,3 +412,60 @@ class TestRankMatrix:
                 tracemalloc.stop()
         assert peaks[1] < 1.3 * peaks[0]
         assert max(peaks) < 1.5 * (1 << 20)
+
+
+class TestTiles:
+    # 11 entities and 8 used columns per arity: the default budget ranks in one
+    # 11-wide tile, 512 bytes in 8-wide tiles (the last entity slice holds 3),
+    # 256 bytes in 4-wide slices, narrower than the used columns, and 8 bytes
+    # in 1-entity slices and 1-row tiles, one fact per chunk
+    @pytest.mark.parametrize("cache_bytes", [2 << 20, 512, 256, 8],
+                             ids=["one-tile", "partial-slice", "narrow-slice", "1x1"])
+    def test_duplicate_rows_tie_exactly(self, cache_bytes, monkeypatch):
+        # entity rows copied from 4 distinct ones: every truth ties with the
+        # copies of its row, and each copy must score the truth's score exactly
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
+        rng = np.random.default_rng(12)
+        ds = random_dataset(rng, n_e=11, n_r=2, facts=30, arities=(2, 3))
+        base = rng.normal(size=(4, 8))
+        emb = SegmentedEmbeddings(base[rng.integers(4, size=11)], rng.normal(size=(2, 8)), 2)
+        arch = random_architecture(rng)
+        fi = build_filter_index(ds)
+        facts = ds.test + ds.valid + ds.train
+        ranks = {}
+        for policy in ("optimistic", "pessimistic"):
+            ranks[policy] = query_ranks(emb, arch, facts, fi, policy)
+            assert ranks[policy] == brute_force_ranks(emb, arch, facts, fi, policy)
+        assert any(o < p for o, p in zip(ranks["optimistic"], ranks["pessimistic"]))
+
+    def test_rank_memory_flat_in_vocabulary(self):
+        # the same 500 facts ranked over 10k and over 40k float32 entity rows
+        # (d=64): the tiles are 512 wide either way, so the traced peak may
+        # differ by little; a float64 copy of the entity rows alone would
+        # grow it by 15.4 MB
+        rng = np.random.default_rng(13)
+        facts = [Fact(int(rng.integers(5)), tuple(int(x) for x in rng.integers(10_000, size=2)))
+                 for _ in range(500)]
+        arch = preset_set("cp", 2, 2)
+        peaks = []
+        for n_e in (10_000, 40_000):
+            emb = SegmentedEmbeddings(rng.normal(size=(n_e, 64)).astype(np.float32),
+                                      rng.normal(size=(5, 64)).astype(np.float32), 2)
+            fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
+                                                       [f"r{i}" for i in range(5)]), facts, [], []))
+            tracemalloc.start()
+            try:
+                rank_matrix(emb, [arch], facts, fi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + (1 << 20)
+
+    def test_filler_past_the_entity_rows_raises(self):
+        # the index knows entity 3, the embeddings hold 3 entity rows; a tile
+        # sweep would read a padded column, or none, for its score
+        vocab = Vocabulary(["a", "b", "c", "d"], ["r"])
+        fi = build_filter_index(Dataset(vocab, [Fact(0, (0, 1)), Fact(0, (3, 1))], [], []))
+        emb = SegmentedEmbeddings(np.ones((3, 2)), np.ones((1, 2)), 1)
+        with pytest.raises(DataError, match="outside the entity rows"):
+            query_ranks(emb, preset_set("cp", 2, 1), [Fact(0, (0, 1))], fi)

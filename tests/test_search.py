@@ -508,8 +508,10 @@ class TestSearchLoop:
     @pytest.mark.parametrize("lam", [1, 2, 3])
     def test_step_converts_validation_batch_once(self, lam, monkeypatch):
         # one step over the whole train split and the whole 8-fact validation
-        # split, whose arity-2 and arity-3 groups are one chunk each
-        calls = {"fact_groups": 0, "pack_participants": 0, "fillers": 0, "candidate_scores": 0}
+        # split, whose arity-2 and arity-3 groups are one chunk each: the
+        # chunk is packed and its fillers looked up once, and each distinct
+        # set's contexts are made once
+        calls = {"fact_groups": 0, "pack_participants": 0, "fillers": 0, "context_batch": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -520,7 +522,7 @@ class TestSearchLoop:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("fact_groups", "pack_participants", "candidate_scores"):
+        for name in ("fact_groups", "pack_participants", "context_batch"):
             counted(evaluation, name)
         counted(FilterIndex, "fillers")
         ds, truth = mixed_arity_case()
@@ -532,7 +534,7 @@ class TestSearchLoop:
             assert len(result.trace) == 1 and len(result.trace[0]["utilities"]) == lam
             # uniform theta draws distinct sets here; one-hot theta draws one set lam times
             assert calls == {"fact_groups": 1, "pack_participants": 2, "fillers": 2,
-                             "candidate_scores": 2 * distinct}
+                             "context_batch": 2 * distinct}
 
     def test_requires_validation_split(self):
         ds = planted_dataset()
