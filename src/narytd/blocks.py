@@ -217,16 +217,26 @@ def pack_participants(
     return X
 
 
+def score_block_rows(assignment: CoreAssignment, embeddings: SegmentedEmbeddings) -> int:
+    """Rows of one score_batch block: as many whole kernel chunks as fit in
+    _PACK_BYTES of packed participants, and at least one."""
+    P, m, ds = assignment.arity + 1, assignment.m, embeddings.segment_length
+    itemsize = embeddings.matrix.itemsize
+    _, b_step = kernels.chunk_steps(itemsize, P, m, ds)
+    return b_step * max(1, _PACK_BYTES // (itemsize * P * m * ds * b_step))
+
+
 def score_batch(
     assignment: CoreAssignment, embeddings: SegmentedEmbeddings, relation_ids, entity_ids
 ) -> np.ndarray:
     """Scores for a batch of same-arity facts given as id arrays, in the embeddings' dtype.
 
-    The rows are packed and scored in blocks of at most _PACK_BYTES of
-    packed participants (at least one kernel chunk), so memory does not
-    grow with the batch. Each block's row count is a multiple of the
-    kernel's chunk rows, so every matmul, and every score, is the one a
-    single kernels.score_batch call over the whole batch would make.
+    The rows are packed and scored in blocks of score_block_rows rows, so
+    memory does not grow with the batch. Each block's row count is a
+    multiple of the kernel's chunk rows, so every matmul, and every score,
+    is the one a single kernels.score_batch call over the whole batch
+    would make; so is a call on any slice of the batch that starts at a
+    block boundary.
     """
     relation_ids = np.asarray(relation_ids)
     entity_ids = np.asarray(entity_ids)
@@ -239,10 +249,7 @@ def score_batch(
         raise DataError(f"{len(relation_ids)} relation ids for {len(entity_ids)} entity rows")
     if embeddings.segment_count != assignment.segment_count:
         raise DataError("embedding and assignment segment counts differ")
-    P, m, ds = assignment.arity + 1, assignment.m, embeddings.segment_length
-    itemsize = embeddings.matrix.itemsize
-    _, b_step = kernels.chunk_steps(itemsize, P, m, ds)
-    rows = b_step * max(1, _PACK_BYTES // (itemsize * P * m * ds * b_step))
+    rows = score_block_rows(assignment, embeddings)
     scores = np.empty(len(entity_ids), dtype=embeddings.matrix.dtype)
     for b0 in range(0, len(scores), rows):
         block = slice(b0, b0 + rows)

@@ -79,30 +79,38 @@ class Vocabulary:
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Id-encoded facts in train/valid/test splits over one vocabulary."""
+    """Id-encoded facts in train/valid/test splits over one vocabulary.
+
+    The splits are taken as any sequences and stored as tuples, and the
+    dataset is frozen, so no split can change after the arity checks and
+    max_arity and arities() always describe the stored facts.
+    """
 
     vocabulary: Vocabulary
-    train: list[Fact]
-    valid: list[Fact]
-    test: list[Fact]
+    train: tuple[Fact, ...]
+    valid: tuple[Fact, ...]
+    test: tuple[Fact, ...]
     max_arity: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("train", "valid", "test"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         train_arities = {len(f.entities) for f in self.train}
         other_arities = {len(f.entities) for split in (self.valid, self.test) for f in split}
-        self._arities = sorted(train_arities | other_arities)
-        if not self._arities:
+        arities = sorted(train_arities | other_arities)
+        if not arities:
             raise DataError("dataset has no facts")
-        self.max_arity = self._arities[-1]
+        object.__setattr__(self, "_arities", arities)
+        object.__setattr__(self, "max_arity", arities[-1])
         missing = other_arities - train_arities
         if missing:
             raise DataError(
                 f"arities {sorted(missing)} appear in valid/test but not in train"
             )
 
-    def split(self, name: str) -> list[Fact]:
+    def split(self, name: str) -> tuple[Fact, ...]:
         if name not in ("train", "valid", "test"):
             raise DataError(f"unknown split {name!r}; expected one of train, valid, test")
         return getattr(self, name)

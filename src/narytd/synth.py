@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ArchitectureSet, CoreAssignment, block_count, score_batch
+from .blocks import ArchitectureSet, CoreAssignment, block_count, score_batch, score_block_rows
 from .data import Dataset, Fact, Vocabulary, check_seed
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError, GenerationError
@@ -111,6 +111,7 @@ def _collect_positives(
     spec: PlantedSpec, embeddings: SegmentedEmbeddings, arity: int, rng: np.random.Generator
 ) -> list[Fact]:
     assignment = spec.assignments[arity]
+    rows = score_block_rows(assignment, embeddings)
     seen: set[tuple] = set()
     positives: list[Fact] = []
     draws = 0
@@ -125,15 +126,17 @@ def _collect_positives(
         rel_ids = rng.integers(0, spec.relation_count, size=chunk)
         ent_ids = rng.integers(0, spec.entity_count, size=(chunk, arity))
         draws += chunk
-        scores = score_batch(assignment, embeddings, rel_ids, ent_ids)
-        for i in np.nonzero(scores >= spec.margin)[0]:
-            key = (int(rel_ids[i]),) + tuple(int(e) for e in ent_ids[i])
-            if key in seen:
-                continue
-            seen.add(key)
-            positives.append(Fact(key[0], key[1:]))
-            if len(positives) == spec.facts_per_arity:
-                break
+        for b0 in range(0, chunk, rows):
+            block = slice(b0, b0 + rows)
+            scores = score_batch(assignment, embeddings, rel_ids[block], ent_ids[block])
+            hits = np.flatnonzero(scores >= spec.margin) + b0
+            for key in map(tuple, np.column_stack((rel_ids[hits], ent_ids[hits])).tolist()):
+                if key in seen:
+                    continue
+                seen.add(key)
+                positives.append(Fact(key[0], key[1:]))
+                if len(positives) == spec.facts_per_arity:
+                    return positives
     return positives
 
 

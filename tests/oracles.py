@@ -2,9 +2,11 @@
 
 score_fact scores one fact through the batch path; candidate_scores
 scores every entity at every hole of a packed batch as one whole matrix;
-memorization_model builds embeddings that reproduce a fact set exactly.
-The library itself scores batches, ranks candidates in tiles and never
-needs an exact memorization.
+memorization_model builds embeddings that reproduce a fact set exactly;
+eager_positives is planted generation's collection of positives with
+every candidate draw scored. The library itself scores batches, ranks
+candidates in tiles, stops scoring a generator's draws at the quota and
+never needs an exact memorization.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from narytd import kernels
 from narytd.blocks import ArchitectureSet, CoreAssignment, preset_set, score_batch
 from narytd.data import Fact, Vocabulary, fact_groups
 from narytd.embeddings import SegmentedEmbeddings
-from narytd.errors import DataError
+from narytd.errors import DataError, GenerationError
+from narytd.synth import _CHUNK, PlantedSpec
 
 
 def score_fact(
@@ -64,3 +67,41 @@ def memorization_model(
     max_arity = max(f.arity for f in facts)
     architecture = preset_set("cp", max(max_arity, 2), segment_count=1)
     return embeddings, architecture
+
+
+def eager_positives(
+    spec: PlantedSpec, embeddings: SegmentedEmbeddings, arity: int, rng: np.random.Generator
+) -> tuple[list[Fact], int]:
+    """An arity's planted positives, scoring each chunk of draws whole.
+
+    Draws _CHUNK candidates per RNG call, as synth does, scores all of
+    them, then keeps the distinct ones that clear the margin in draw
+    order until facts_per_arity are kept. Also returns the draws consumed
+    up to the last kept positive.
+    """
+    assignment = spec.assignments[arity]
+    seen: set[tuple] = set()
+    positives: list[Fact] = []
+    draws = consumed = 0
+    while len(positives) < spec.facts_per_arity:
+        if draws >= spec.max_draws:
+            raise GenerationError(
+                f"drew {draws} arity-{arity} candidates but found only "
+                f"{len(positives)}/{spec.facts_per_arity} scoring >= {spec.margin}; "
+                f"try a smaller margin"
+            )
+        chunk = min(_CHUNK, spec.max_draws - draws)
+        rel_ids = rng.integers(0, spec.relation_count, size=chunk)
+        ent_ids = rng.integers(0, spec.entity_count, size=(chunk, arity))
+        scores = score_batch(assignment, embeddings, rel_ids, ent_ids)
+        for i in np.nonzero(scores >= spec.margin)[0]:
+            key = (int(rel_ids[i]),) + tuple(int(e) for e in ent_ids[i])
+            if key in seen:
+                continue
+            seen.add(key)
+            positives.append(Fact(key[0], key[1:]))
+            consumed = draws + int(i) + 1
+            if len(positives) == spec.facts_per_arity:
+                break
+        draws += chunk
+    return positives, consumed

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -126,9 +127,9 @@ def test_build_dataset_ids_follow_first_occurrence():
     ds = build_dataset(train, valid, test, strict_vocabulary=False)
     assert ds.vocabulary.entity_names == ["b", "a", "c", "d", "e", "f", "g"]
     assert ds.vocabulary.relation_names == ["r", "s", "t", "u"]
-    assert ds.train == [Fact(0, (0, 1)), Fact(1, (1, 2))]
-    assert ds.valid == [Fact(2, (3, 0)), Fact(0, (4, 3))]
-    assert ds.test == [Fact(3, (5, 4)), Fact(2, (6, 1))]
+    assert ds.train == (Fact(0, (0, 1)), Fact(1, (1, 2)))
+    assert ds.valid == (Fact(2, (3, 0)), Fact(0, (4, 3)))
+    assert ds.test == (Fact(3, (5, 4)), Fact(2, (6, 1)))
 
 
 def test_dataset_requires_train_arity_coverage():
@@ -284,7 +285,7 @@ def test_dataset_dir_round_trip(tmp_path):
     # an empty split is written too, so the holdout's valid.tsv does not outlive it
     write_dataset_dir(tmp_path, build_dataset(raw(12)))
     assert (tmp_path / "valid.tsv").read_bytes() == b""
-    assert load_dataset_dir(tmp_path).valid == []
+    assert load_dataset_dir(tmp_path).valid == ()
 
 
 @pytest.mark.parametrize(
@@ -321,6 +322,19 @@ def test_dataset_arities_span_every_split():
     ds = Dataset(MIXED_VOCABULARY, train, [Fact(1, (2, 3, 4))], [Fact(0, (3, 4))])
     assert ds.arities() == [2, 3, 4] and ds.max_arity == 4
     ds = Dataset(MIXED_VOCABULARY, MIXED_TRAIN[:1], [], [])
+    assert ds.arities() == [2] and ds.max_arity == 2
+
+
+def test_dataset_splits_are_read_only():
+    # a changed split would skip the arity checks and leave max_arity stale
+    train = [Fact(0, (0, 1))]
+    ds = Dataset(MIXED_VOCABULARY, train, [], [])
+    train.append(Fact(0, (0, 1, 2)))  # the caller's list is not the stored split
+    assert ds.train == (Fact(0, (0, 1)),)
+    with pytest.raises(AttributeError):
+        ds.train.append(Fact(0, (0, 1, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.train = [Fact(0, (0, 1, 2))]
     assert ds.arities() == [2] and ds.max_arity == 2
 
 

@@ -201,7 +201,7 @@ class TestEvaluate:
         rival = int(np.argmax(np.where(np.arange(10) == target.entities[0], -np.inf, scores)))
         corrupt = Fact(target.relation, (rival,) + target.entities[1:])
         augmented = Dataset(
-            ds.vocabulary, ds.train + [corrupt], ds.valid, ds.test
+            ds.vocabulary, [*ds.train, corrupt], ds.valid, ds.test
         )
         new_ranks = query_ranks(emb, arch, [target], build_filter_index(augmented))
         assert all(n <= b for n, b in zip(new_ranks, base_ranks))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from narytd.blocks import ArchitectureSet, score_batch, zero_assignment
+from narytd import synth
+from narytd.blocks import ArchitectureSet, score_batch, score_block_rows, zero_assignment
 from narytd.data import group_by_arity
 from narytd.errors import DataError, GenerationError
-from narytd.synth import PlantedSpec, generate_planted, random_truth
+from narytd.synth import _CHUNK, PlantedSpec, generate_planted, random_truth
+from oracles import eager_positives
 
 
 def base_spec(**overrides):
@@ -22,6 +24,84 @@ def base_spec(**overrides):
     )
     kwargs.update(overrides)
     return PlantedSpec(**kwargs)
+
+
+def reference_spec(arities=(2,), segment_count=2, **overrides):
+    truth = random_truth(arities, segment_count, seed=1)
+    return base_spec(arities=arities, segment_count=segment_count, assignments=truth, **overrides)
+
+
+def eager_planted(spec, monkeypatch):
+    """generate_planted with every chunk of draws scored whole (the
+    reference), and the draws each arity consumed up to its quota."""
+    consumed = {}
+
+    def collect(spec, embeddings, arity, rng):
+        positives, consumed[arity] = eager_positives(spec, embeddings, arity, rng)
+        return positives
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_collect_positives", collect)
+        return generate_planted(spec), consumed
+
+
+# quota_spec's arity-2 and arity-3 quotas are met in the second chunk of draws
+QUOTA_SHAPE = dict(entity_count=200, dimension=32, arities=(2, 3), margin=5.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # 30 entities: arity 2 has 1800 distinct tuples, so draws often repeat
+        dict(entity_count=30, arities=(2, 3, 4, 5), facts_per_arity=40),
+        dict(entity_count=30, segment_count=1, dimension=4, arities=(2, 3), facts_per_arity=40),
+        dict(segment_count=4, dimension=16, arities=(4, 5), facts_per_arity=40),
+        dict(QUOTA_SHAPE, facts_per_arity=800),  # arity 2 needs three chunks
+        dict(QUOTA_SHAPE, facts_per_arity=650, max_draws=13_000),  # a short last chunk
+    ],
+    ids=["arities-2-5", "M1", "M4", "several-chunks", "short-chunk"],
+)
+def test_generation_matches_eager_reference(overrides, monkeypatch):
+    spec = reference_spec(**overrides)
+    want, _ = eager_planted(spec, monkeypatch)
+    got = generate_planted(spec)
+    for name in ("train", "valid", "test"):
+        assert got.dataset.split(name) == want.dataset.split(name)
+    assert got.truth.arities() == want.truth.arities()
+    for n in got.truth.arities():
+        assert np.array_equal(got.truth[n].codes, want.truth[n].codes)
+    assert got.embeddings.matrix.dtype == want.embeddings.matrix.dtype
+    assert np.array_equal(got.embeddings.matrix, want.embeddings.matrix)
+
+
+def test_exhausted_draws_raise_the_reference_error(monkeypatch):
+    spec = reference_spec(**QUOTA_SHAPE, facts_per_arity=650, max_draws=12_345)
+    with pytest.raises(GenerationError) as want:
+        eager_planted(spec, monkeypatch)
+    with pytest.raises(GenerationError) as got:
+        generate_planted(spec)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("drew 12345 arity-2 candidates but found only ")
+
+
+def test_generation_stops_scoring_at_quota(monkeypatch):
+    spec = reference_spec(**QUOTA_SHAPE, facts_per_arity=650)
+    _, consumed = eager_planted(spec, monkeypatch)
+    assert all(_CHUNK < consumed[n] < 2 * _CHUNK for n in spec.arities)
+    scored = []
+
+    def counting(assignment, embeddings, relation_ids, entity_ids):
+        scored.append(len(relation_ids))
+        return score_batch(assignment, embeddings, relation_ids, entity_ids)
+
+    monkeypatch.setattr(synth, "score_batch", counting)
+    result = generate_planted(spec)
+    # the rows up to each quota, plus at most the rest of the block that met it
+    bound = sum(
+        consumed[n] + score_block_rows(spec.assignments[n], result.embeddings)
+        for n in spec.arities
+    )
+    assert sum(scored) <= bound
 
 
 def test_all_zero_truth_exhausts_draws():

@@ -66,7 +66,7 @@ def test_deterministic_given_seed():
 def test_missing_arity_fails_before_training():
     rng = np.random.default_rng(3)
     ds = tiny_dataset(rng)
-    ds = Dataset(ds.vocabulary, ds.train + [Fact(0, (0, 1, 2))], ds.valid, ds.test)
+    ds = Dataset(ds.vocabulary, [*ds.train, Fact(0, (0, 1, 2))], ds.valid, ds.test)
     arch = ArchitectureSet({2: zero_assignment(2, 2)})
     with pytest.raises(DataError):
         train_fixed(arch, ds, TrainConfig(dimension=4, segment_count=2, max_epochs=1))
