@@ -2,9 +2,12 @@
 
 Random segmented embeddings plus a known ground-truth architecture define
 a scoring rule; uniformly drawn candidate tuples that clear a margin
-become the dataset's facts. Search-recovery tests then check whether the
-architecture search can rediscover the hidden assignment (or an equally
-good one) from the facts alone.
+become the dataset's facts. Candidates are drawn a chunk at a time and
+scored block by block only until each arity's quota is met; the draws,
+and so every dataset, are those of scoring each chunk whole.
+Search-recovery tests then check whether the architecture search can
+rediscover the hidden assignment (or an equally good one) from the facts
+alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .embeddings import SegmentedEmbeddings
 from .errors import DataError, GenerationError
 
 # Candidate draws per RNG call. Another value changes the random stream and
-# so every generated dataset; blocks.score_batch bounds the memory per chunk.
+# so every generated dataset. A chunk is scored in blocks.score_batch's
+# blocks only until the quota is met; where it stops changes no draw.
 _CHUNK = 8192
 
 
@@ -75,11 +79,14 @@ class PlantedResult:
 def generate_planted(spec: PlantedSpec) -> PlantedResult:
     """Sample facts whose ground-truth score clears the margin.
 
-    Tuples are drawn uniformly, _CHUNK at a time, scored by
-    blocks.score_batch (whose memory does not grow with the chunk) and
-    deduplicated; generation fails with a diagnostic if max_draws
-    candidates cannot produce facts_per_arity positives for some arity.
-    Positives split 80/10/10 per arity.
+    Tuples are drawn uniformly, _CHUNK at a time. Each chunk is scored in
+    blocks of blocks.score_block_rows rows, whose scores equal those of
+    one blocks.score_batch call over the chunk, and each block's positives
+    are deduplicated in draw order; scoring stops once the arity has
+    facts_per_arity of them, and the rest of the chunk, whose positives
+    would go unused, is dropped unscored. Generation fails with a
+    diagnostic if max_draws candidates cannot produce facts_per_arity
+    positives for some arity. Positives split 80/10/10 per arity.
     """
     rng = np.random.default_rng(spec.seed)
     sigma = spec.sigma if spec.sigma is not None else 1.0 / np.sqrt(spec.dimension)
