@@ -45,7 +45,7 @@ def eager_planted(spec, monkeypatch):
         return generate_planted(spec), consumed
 
 
-# quota_spec's arity-2 and arity-3 quotas are met in the second chunk of draws
+# at 650 facts per arity, both arities meet their quota in the second chunk of draws
 QUOTA_SHAPE = dict(entity_count=200, dimension=32, arities=(2, 3), margin=5.0)
 
 
