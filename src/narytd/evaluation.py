@@ -10,17 +10,20 @@ same-arity chunk of facts it packs the participants and looks up the
 known fillers (FilterIndex.fillers, (rows, cols) arrays with no Python
 per query) once for all sets. Each distinct set then gets one context
 matrix for the chunk (kernels.context_batch: every hole of every fact),
-which one tiled sweep, _tile_ranks, ranks against every entity: the
-scores are made tile by tile in reused buffers, and a set equal to an
-earlier one takes that set's ranks. The chunk's contexts, the entity
-slice and the score tile each hold at most model._CACHE_BLOCK_BYTES, so
-ranking memory grows neither with the split, nor with the vocabulary,
-nor with the number of sets.
+which one tiled sweep, _tile_ranks, ranks against every entity, and a
+set equal to an earlier one takes that set's ranks. The chunk's
+contexts, the entity slice, the score tile and each block of exact
+scores hold at most model._CACHE_BLOCK_BYTES, so ranking memory grows
+neither with the split, nor with the vocabulary, nor with the number of
+sets.
 
-Ranking computes in float64 whatever the embeddings' dtype: a chunk's
-packed participants and each entity slice are upcast as they are used,
-which is exact, so ranks equal a float64 computation on the stored
-values.
+Ranks are those of float64 scores on the stored values: a chunk's
+packed participants are upcast, which is exact, and each score is a
+float64 row dot of a context and an entity row. The sweep screens every
+candidate with float32 GEMMs and a proven error bound, and only the few
+candidates within the bound of the truth's score, plus the truth and
+the fillers, take the float64 dot, which uses no BLAS: given the
+contexts, ranks depend neither on the tile shape nor on the thread count.
 """
 
 from __future__ import annotations
@@ -68,6 +71,25 @@ def _check_tie_policy(tie_policy: str) -> None:
         raise DataError(f"unknown tie policy {tie_policy!r}; expected {TIE_POLICIES}")
 
 
+def _exact_scores(C: np.ndarray, E: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The float64 scores C[rows[k]] . E[cols[k]], one row dot per pair.
+
+    Each is one elementwise product and one row sum, in blocks of pairs
+    whose gathered rows hold at most a quarter of model._CACHE_BLOCK_BYTES,
+    so that settling many band pairs adds little to the peak. No BLAS is
+    involved, so a pair's score depends neither on the block that holds it
+    nor on the thread count, and a candidate whose row equals the truth's
+    scores exactly the truth's score.
+    """
+    z = np.empty(len(rows))
+    step = max(1, model._CACHE_BLOCK_BYTES // (64 * C.shape[1]))
+    for k in range(0, len(rows), step):
+        block = C[rows[k : k + step]]
+        block *= E[cols[k : k + step]]
+        block.sum(axis=1, out=z[k : k + step])
+    return z
+
+
 def _tile_ranks(
     C: np.ndarray,
     E: np.ndarray,
@@ -78,63 +100,137 @@ def _tile_ranks(
 ) -> np.ndarray:
     """Filtered ranks of the float64 query contexts C, shape (R,).
 
-    Query r's candidate scores are C[r] @ E.T over the entity rows E (of
-    C's width, any float dtype), truth[r] is its answer and the
-    (filler_rows, filler_cols) entries are the known-true fillers. With
-    t_r the truth's score, rank[r] = 1 + #{candidates e: beats(z_re, t_r)}
-    less the fillers and the truth among them; beats is np.greater
-    (optimistic ties) or np.greater_equal (pessimistic).
+    Candidate e of query r scores s_re = C[r] . E[e], the float64 row dot
+    of _exact_scores on the stored values of the entity rows E (C's width,
+    float32 or float64); truth[r] is its answer and the (filler_rows,
+    filler_cols) entries its known-true fillers. With t_r = s_r,truth[r],
+    rank[r] = 1 + #{e: beats(s_re, t_r)} less the fillers and the truth
+    among them. beats is np.greater (optimistic ties) or np.greater_equal
+    (pessimistic), so a candidate whose row equals the truth's ties.
 
-    The scores are never whole: E is cast to float64 in slices of `width`
-    rows into one reused buffer S, the last slice zero-padded, and each
-    tile C[rows] @ S.T of `width` rows is written into one reused tile
-    buffer, every buffer within model._CACHE_BLOCK_BYTES. Each tile counts
-    its candidates that beat the truth and reads the scores of the fillers
-    it holds. t_r comes from a GEMM of the tiles' exact shape, with the
-    truth rows in S, so a candidate equal to the truth ties exactly; the
-    truth is counted with the fillers, so it never counts itself.
+    Every candidate is screened in float32. Each context row and float64
+    E are first scaled by powers of two, which is exact and keeps every
+    comparison, so that the float32 copies cannot overflow: E by 2**-k_E,
+    2**k_E bounding its largest magnitude (k_E >= -126), and row r so that
+    its largest magnitude is below 1, or below 2**-k_E when float32 rows
+    are swept as stored. In those units a float32 GEMM of the copies, Z,
+    is within
+
+        delta_r = kappa * |c_r| * max_e |e| + underflow_r,
+        kappa = 1.01 * (gamma_used + 3u),  gamma_used = used*u / (1 - used*u)
+
+    of every scaled s_re, where u = 2**-24 and |.| is the Euclidean norm
+    of a scaled row. gamma_used bounds float32 accumulation over the `used`
+    terms in any order; 3u bounds rounding C, and float64 rows of E, to
+    float32 plus the float64 dot's own error; the 1.01 covers rounding in
+    the bound itself. underflow_r, 2*eta*(used + sqrt(used) * (|c_r| +
+    max_e |e|)) with eta = 2**-150, plus used * 2**-1074 before scaling,
+    covers float32 and float64 products and casts that underflow. A zero
+    context row scores every candidate exactly 0 both ways and takes
+    delta_r = 0.
+
+    hi_r >= t_r + delta_r and lo_r <= t_r - delta_r are rounded outward to
+    float32, so beats(Z, hi_r) implies beats(s, t_r) and a candidate
+    failing beats(Z, lo_r) fails beats(s, t_r). Each tile counts both per
+    row; where the two counts differ the candidates between them (the
+    band, which holds the truth when delta_r > 0) take their exact score,
+    as do the truth and every filler, so that
+    rank[r] = 1 + #{beats(Z, hi_r)} + #{band e: beats(s_re, t_r)}
+    - #{filler or truth e: beats(s_re, t_r)}, the float64 count.
+
+    E's used rows are swept in slices of `width`, a view of float32 rows
+    or a float32 copy of float64 ones in one reused buffer, against row
+    tiles of the float32 contexts in one reused tile. Each buffer, and
+    each block of exact dots and of band pairs, holds at most
+    model._CACHE_BLOCK_BYTES.
     """
     R, used = C.shape
     n_e = len(E)
     if filler_cols.size and not 0 <= filler_cols.min() <= filler_cols.max() < n_e:
         raise DataError("known filler entity id outside the entity rows")
-    budget = model._CACHE_BLOCK_BYTES // C.itemsize
-    width = max(1, min(n_e, math.isqrt(budget), budget // used))
-    S = np.zeros((width, used))
-    tile = np.empty((width, width))
-    flags = np.empty((width, width), dtype=bool)
-    # the fillers other than the truth, then the truth, grouped by the tile
-    # that holds them, tiles in sweep order (entity slice, then row block)
+    budget = model._CACHE_BLOCK_BYTES
+    t = _exact_scores(C, E, np.arange(R), truth)
+
+    def beating(rows, cols):
+        """Per query, how many of the pairs (rows, cols) beat its truth."""
+        z = _exact_scores(C, E, rows, cols)
+        return np.bincount(rows[beats(z, t[rows])], minlength=R)
+
     other = filler_cols != truth[filler_rows]
-    rows = np.concatenate([filler_rows[other], np.arange(R)])
-    cols = np.concatenate([filler_cols[other], truth])
-    row_tiles = -(-R // width)
-    key = cols // width * row_tiles + rows // width
-    order = np.argsort(key, kind="stable")
-    rows, cols = rows[order], cols[order]
-    bounds = np.cumsum(np.bincount(key, minlength=-(-n_e // width) * row_tiles))
-    t = np.empty(R)
+    count = 1 - beats(t, t) - beating(filler_rows[other], filler_cols[other])
+
+    stored = E.dtype == np.float32  # swept as stored; float64 rows are cast
+    k_E = max(int(np.frexp(max(E.max(initial=0.0), -E.min(initial=0.0)))[1]), -126)
+    e_shift = 0 if stored else -k_E
+    c_max = np.maximum(C.max(axis=1, initial=0.0), -C.min(axis=1, initial=0.0))
+    shift = -np.frexp(c_max)[1] - k_E  # row r's scores are screened times 2**shift[r]
+    # the row blocks scaled below and the slices swept later: width rows of
+    # float64 and width * width float32 scores each fit the budget
+    width = max(1, min(n_e, math.isqrt(budget // 4), budget // (8 * used)))
+    C32 = np.empty((R, used), dtype=np.float32)
+    c_norm = np.empty(R)
     for r0 in range(0, R, width):
-        C_b = C[r0 : r0 + width]
-        S[: len(C_b)] = E[truth[r0 : r0 + width]]
-        t[r0 : r0 + width] = np.matmul(C_b, S.T, out=tile[: len(C_b)]).diagonal()
-    count = np.ones(R, dtype=np.int64)
-    z = np.empty(len(rows))
-    lo = 0
-    ends = iter(bounds)
+        Cs = np.ldexp(C[r0 : r0 + width], (shift[r0 : r0 + width] - e_shift)[:, None])
+        c_norm[r0 : r0 + width] = np.sqrt(np.einsum("ij,ij->i", Cs, Cs))
+        C32[r0 : r0 + width] = Cs
+    e_norm2 = 0.0
     for e0 in range(0, n_e, width):
-        valid = min(width, n_e - e0)
-        S[:valid] = E[e0 : e0 + valid]
-        S[valid:] = 0.0
+        S = np.ldexp(E[e0 : e0 + width], e_shift, dtype=np.float64)
+        e_norm2 = max(e_norm2, np.einsum("ij,ij->i", S, S).max())
+    Cs = S = None  # the last blocks, freed before the sweep
+    e_norm = math.sqrt(e_norm2)
+    u = np.finfo(np.float32).eps / 2
+    eta = np.finfo(np.float32).smallest_subnormal / 2
+    gamma = used * u / (1 - used * u)
+    delta = 1.01 * (gamma + 3 * u) * c_norm * e_norm
+    underflow = (2 * eta * (used + math.sqrt(used) * (c_norm + e_norm))
+                 + np.ldexp(float(used), shift - 1074))
+    delta += np.where(c_norm > 0, underflow, 0.0)
+    t_s = np.ldexp(t, shift)
+    upper, lower = t_s + delta, t_s - delta
+    with np.errstate(over="ignore"):
+        hi, lo = upper.astype(np.float32), lower.astype(np.float32)
+    np.nextafter(hi, np.inf, out=hi, where=hi < upper)
+    np.nextafter(lo, -np.inf, out=lo, where=lo > lower)
+
+    tile = np.empty(width * width, dtype=np.float32)
+    sure_flags = np.empty(width * width, dtype=bool)
+    cand_flags = np.empty(width * width, dtype=bool)
+    counts = np.empty((2, width), dtype=np.min_scalar_type(width))
+    S32 = None if stored else np.empty((width, used), dtype=np.float32)
+    # band pairs wait in two buffers of `cap`, a tile's band rows taken all
+    # at once when their pairs fit, else cap // width rows at a time
+    cap = max(width, budget // 256)
+    band_rows = np.empty(cap, dtype=np.intp)
+    band_cols = np.empty(cap, dtype=np.intp)
+    fill = 0
+    for e0 in range(0, n_e, width):
+        S = E[e0 : e0 + width]
+        if not stored:
+            S = np.ldexp(S, e_shift, out=S32[: len(S)])
+        n_s = len(S)
         for r0 in range(0, R, width):
-            C_b = C[r0 : r0 + width]
-            Z = np.matmul(C_b, S.T, out=tile[: len(C_b)])
-            hit = beats(Z[:, :valid], t[r0 : r0 + width, None], out=flags[: len(C_b), :valid])
-            count[r0 : r0 + width] += np.count_nonzero(hit, axis=1)
-            hi = next(ends)
-            z[lo:hi] = Z[rows[lo:hi] - r0, cols[lo:hi] - e0]
-            lo = hi
-    count -= np.bincount(rows[beats(z, t[rows])], minlength=R)
+            n_r = min(width, R - r0)
+            Z = np.matmul(C32[r0 : r0 + n_r], S.T, out=tile[: n_r * n_s].reshape(n_r, n_s))
+            sure = beats(Z, hi[r0 : r0 + n_r, None], out=sure_flags[: n_r * n_s].reshape(n_r, n_s))
+            cand = beats(Z, lo[r0 : r0 + n_r, None], out=cand_flags[: n_r * n_s].reshape(n_r, n_s))
+            n_sure, n_cand = counts[:, :n_r]
+            np.add.reduce(sure.view(np.uint8), axis=1, dtype=counts.dtype, out=n_sure)
+            np.add.reduce(cand.view(np.uint8), axis=1, dtype=counts.dtype, out=n_cand)
+            count[r0 : r0 + n_r] += n_sure
+            band = np.flatnonzero(n_cand != n_sure)
+            fits = (n_cand[band] - n_sure[band]).sum(dtype=np.int64) <= cap
+            group = max(1, len(band) if fits else cap // width)
+            for g0 in range(0, len(band), group):
+                b = band[g0 : g0 + group]
+                i, j = np.nonzero(cand[b] ^ sure[b])
+                if fill + len(i) > cap:
+                    count += beating(band_rows[:fill], band_cols[:fill])
+                    fill = 0
+                band_rows[fill : fill + len(i)] = b[i] + r0
+                band_cols[fill : fill + len(i)] = j + e0
+                fill += len(i)
+    count += beating(band_rows[:fill], band_cols[:fill])
     return count
 
 
@@ -170,7 +266,7 @@ def rank_matrix(
 ) -> np.ndarray:
     """Filtered ranks as a (sets, facts, max arity) array; a position a fact lacks holds 0.
 
-    Facts are scored in float64, in same-arity row chunks whose hole-major
+    Facts are ranked by float64 scores, in same-arity row chunks whose hole-major
     (arity * rows, m*ds) contexts hold at most model._CACHE_BLOCK_BYTES
     (one fact's, if a fact's are more). Each chunk is packed, upcast and
     its fillers looked up once for all sets, then each distinct set's

@@ -14,8 +14,10 @@ adds its hole gradient in entity slices through one reused buffer of at
 most _CACHE_BLOCK_BYTES, so its memory does not grow with the batch and
 holds no array of the vocabulary's size beyond the gradient and the
 score buffer. Filtered ranking (evaluation.rank_matrix) pairs the same
-contexts with the entity rows in float64 tiles of at most
-_CACHE_BLOCK_BYTES, and holds no array of the vocabulary's size.
+contexts with the entity rows in float32 tiles of at most
+_CACHE_BLOCK_BYTES, screened by an error bound, and settles the few
+candidates near each truth with float64 dots; it holds no array of the
+vocabulary's size.
 
 A gradient and each Adam moment are one array shaped like the
 embeddings' matrix (entity rows, then relation rows; see
@@ -47,9 +49,12 @@ _SCORE_BLOCK = 1 << 21
 
 # Upper bound, in bytes, on one row block of the in-place softmax, on one
 # entity slice of the hole gradient, and on each of filtered ranking's
-# chunk contexts, entity slice and score tile (evaluation.rank_matrix):
-# the softmax block's max, exp, sum and divide passes, the slice's add
-# into the gradient and each ranking tile's matmul and counts run in cache.
+# buffers (evaluation.rank_matrix): its chunk contexts (and their float32
+# copy, half as large), the float32 copy of a slice of float64 entity rows,
+# the float32 score tile and each block of exact float64 dots and of band
+# pairs. The softmax block's max, exp, sum and divide passes, the slice's
+# add into the gradient and each ranking tile's matmul, compares and
+# counts run in cache.
 _CACHE_BLOCK_BYTES = 2 << 20
 
 

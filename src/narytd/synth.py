@@ -90,11 +90,16 @@ def generate_planted(spec: PlantedSpec) -> PlantedResult:
     """
     rng = np.random.default_rng(spec.seed)
     sigma = spec.sigma if spec.sigma is not None else 1.0 / np.sqrt(spec.dimension)
+    zero = np.float64(0.0)
     embeddings = SegmentedEmbeddings(
-        rng.normal(0.0, sigma, size=(spec.entity_count, spec.dimension)),
-        rng.normal(0.0, sigma, size=(spec.relation_count, spec.dimension)),
+        np.broadcast_to(zero, (spec.entity_count, spec.dimension)),
+        np.broadcast_to(zero, (spec.relation_count, spec.dimension)),
         spec.segment_count,
     )
+    # entity rows, then relation rows: the draws of one rng.normal(0, sigma)
+    # call per block, bit for bit, with no second matrix
+    rng.standard_normal(out=embeddings.matrix)
+    embeddings.matrix *= sigma
     train: list[Fact] = []
     valid: list[Fact] = []
     test: list[Fact] = []

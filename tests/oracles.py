@@ -2,10 +2,12 @@
 
 score_fact scores one fact through the batch path; candidate_scores
 scores every entity at every hole of a packed batch as one whole matrix;
+filtered_ranks counts every candidate of every query against its
+truth, one float64 row dot per score;
 memorization_model builds embeddings that reproduce a fact set exactly;
 eager_positives is planted generation's collection of positives with
 every candidate draw scored. The library itself scores batches, ranks
-candidates in tiles, stops scoring a generator's draws at the quota and
+candidates in screened float32 tiles, stops scoring a generator's draws at the quota and
 never needs an exact memorization.
 """
 
@@ -43,6 +45,37 @@ def candidate_scores(
     B, P, m, ds = X.shape
     C = kernels.context_batch(assignment.codes, X, range(1, P)).reshape((P - 1) * B, m * ds)
     return C @ embeddings.entity_matrix[:, : m * ds].T
+
+
+def filtered_ranks(
+    C: np.ndarray,
+    E: np.ndarray,
+    truth: Sequence[int],
+    filler_rows: Sequence[int],
+    filler_cols: Sequence[int],
+    tie_policy: str = "optimistic",
+) -> list[int]:
+    """Filtered ranks of the contexts C against the entity rows E, by brute force.
+
+    Every score C[r] . E[e] is the float64 sum of the products (no BLAS),
+    and every candidate other than the truth and query r's fillers counts
+    if it scores above the truth, or also level with it under pessimistic
+    ties.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    E = np.asarray(E)
+    ranks = []
+    for r, c in enumerate(C):
+        scores = (c * E).sum(axis=1)
+        known = {int(e) for q, e in zip(filler_rows, filler_cols) if q == r}
+        t = scores[truth[r]]
+        rank = 1
+        for e, s in enumerate(scores):
+            if e == truth[r] or e in known:
+                continue
+            rank += bool(s > t or (tie_policy == "pessimistic" and s == t))
+        ranks.append(rank)
+    return ranks
 
 
 def memorization_model(

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narytd import evaluation, model
 from narytd.blocks import (
@@ -29,7 +32,15 @@ from narytd.evaluation import (
     query_ranks,
     rank_matrix,
 )
-from oracles import candidate_scores, memorization_model, score_fact
+from oracles import candidate_scores, filtered_ranks, memorization_model, score_fact
+
+
+def tile_ranks(C, E, truth, fillers=(), tie_policy="optimistic"):
+    """_tile_ranks of the contexts C against the entity rows E, fillers as (row, col) pairs."""
+    rows, cols = np.array(list(fillers), dtype=np.int64).reshape(-1, 2).T
+    beats = np.greater_equal if tie_policy == "pessimistic" else np.greater
+    return _tile_ranks(np.asarray(C, dtype=np.float64), E, np.asarray(truth), rows, cols,
+                       beats).tolist()
 
 
 def block_ranks(Z, truth, known, tie_policy="optimistic"):
@@ -37,11 +48,8 @@ def block_ranks(Z, truth, known, tie_policy="optimistic"):
 
     The rows of Z are the contexts and the entity rows an identity, so the
     tiles hold exactly Z's scores."""
-    pairs = [(b, c) for b, cols in enumerate(known) for c in sorted(cols)]
-    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    Z = np.asarray(Z, dtype=np.float64)
-    beats = np.greater_equal if tie_policy == "pessimistic" else np.greater
-    return _tile_ranks(Z, np.eye(Z.shape[1]), np.asarray(truth), rows, cols, beats).tolist()
+    fillers = [(b, c) for b, cols in enumerate(known) for c in sorted(cols)]
+    return tile_ranks(Z, np.eye(len(Z[0])), truth, fillers, tie_policy)
 
 
 class TestFilteredRank:
@@ -417,18 +425,25 @@ class TestRankMatrix:
 class TestTiles:
     # 11 entities and 8 used columns per arity: the default budget ranks in one
     # 11-wide tile, 512 bytes in 8-wide tiles (the last entity slice holds 3),
-    # 256 bytes in 4-wide slices, narrower than the used columns, and 8 bytes
-    # in 1-entity slices and 1-row tiles, one fact per chunk
-    @pytest.mark.parametrize("cache_bytes", [2 << 20, 512, 256, 8],
-                             ids=["one-tile", "partial-slice", "narrow-slice", "1x1"])
-    def test_duplicate_rows_tie_exactly(self, cache_bytes, monkeypatch):
+    # 384 bytes in 6-wide ones (the last holds 5), 256 bytes in 4-wide slices,
+    # narrower than the used columns, and 8 bytes in 1-entity slices and 1-row
+    # tiles, one fact per chunk. Float32 rows are swept as stored, float64
+    # rows as float32 copies
+    @pytest.mark.parametrize("cache_bytes, dtype", [
+        pytest.param(cache_bytes, dtype, id=name + suffix)
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for cache_bytes, name in ((2 << 20, "one-tile"), (512, "partial-slice"), (384, "6-wide"),
+                                  (256, "narrow-slice"), (8, "1x1"))
+    ])
+    def test_duplicate_rows_tie_exactly(self, cache_bytes, dtype, monkeypatch):
         # entity rows copied from 4 distinct ones: every truth ties with the
         # copies of its row, and each copy must score the truth's score exactly
         monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", cache_bytes)
         rng = np.random.default_rng(12)
         ds = random_dataset(rng, n_e=11, n_r=2, facts=30, arities=(2, 3))
-        base = rng.normal(size=(4, 8))
-        emb = SegmentedEmbeddings(base[rng.integers(4, size=11)], rng.normal(size=(2, 8)), 2)
+        base = rng.normal(size=(4, 8)).astype(dtype)
+        emb = SegmentedEmbeddings(base[rng.integers(4, size=11)],
+                                  rng.normal(size=(2, 8)).astype(dtype), 2)
         arch = random_architecture(rng)
         fi = build_filter_index(ds)
         facts = ds.test + ds.valid + ds.train
@@ -469,3 +484,107 @@ class TestTiles:
         emb = SegmentedEmbeddings(np.ones((3, 2)), np.ones((1, 2)), 1)
         with pytest.raises(DataError, match="outside the entity rows"):
             query_ranks(emb, preset_set("cp", 2, 1), [Fact(0, (0, 1))], fi)
+
+    def test_band_memory_flat_in_ties(self):
+        # 2,000 copies of one entity row among 10k, every fact's entities
+        # drawn from them: each query's truth ties with about 2,000
+        # candidates, all in its float32 band and settled by float64 dots in
+        # bounded blocks, so the traced peak may exceed the no-tie case's
+        # by as little as the vocabulary test allows
+        rng = np.random.default_rng(14)
+        n_e = 10_000
+        facts = [Fact(int(rng.integers(5)), tuple(int(x) for x in rng.integers(2000, size=2)))
+                 for _ in range(500)]
+        fi = build_filter_index(Dataset(Vocabulary([f"e{i}" for i in range(n_e)],
+                                                   [f"r{i}" for i in range(5)]), facts, [], []))
+        arch = preset_set("cp", 2, 2)
+        ent = rng.normal(size=(n_e, 64)).astype(np.float32)
+        rel = rng.normal(size=(5, 64)).astype(np.float32)
+        peaks, ranks = [], []
+        for ties in (False, True):
+            if ties:
+                ent[:2000] = ent[0]
+            emb = SegmentedEmbeddings(ent, rel, 2)
+            tracemalloc.start()
+            try:
+                ranks.append(rank_matrix(emb, [arch, arch.copy()], facts, fi, "pessimistic")[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # pessimistic ties: every copy that is not a known filler beats the truth
+        assert ranks[1].min() > 1900
+        assert peaks[1] < peaks[0] + (1 << 20)
+
+
+def near_tie_case(dtype):
+    """Contexts and entity rows whose float32 scores tie with the truth's.
+
+    Context row m * (1, 2**-53, 0.75, -0.5) scores entity row (1, k, 0, 0)
+    m * (1 + k * 2**-53) in float64: for k = -2, -1, 0, 2, 4 that is 2 or
+    1 ulps below the truth's (k = 0, entity 0), level with it, or 1 or 2
+    ulps above; in float32 all five round alike. Twelve random rows
+    score far from them.
+    """
+    rng = np.random.default_rng(15)
+    near = np.array([[1.0, k, 0.0, 0.0] for k in (0, -2, -1, 0, 2, 4)])
+    E = np.vstack([near, 3 * rng.normal(size=(12, 4))]).astype(dtype)
+    m = np.array([1.0, -1.0, 2.0**-30, 2.0**40, -(2.0**-70)])
+    C = m[:, None] * np.array([1.0, 2.0**-53, 0.75, -0.5])
+    fillers = [(0, 4), (1, 2), (2, 3), (3, 0)]  # (2, 3) ties; (3, 0) is the truth
+    return C, E, np.zeros(len(C), dtype=np.int64), fillers
+
+
+class TestScreen:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_near_ties_are_settled_in_float64(self, dtype):
+        C, E, truth, fillers = near_tie_case(dtype)
+        s = (C[0] * E[:6].astype(np.float64)).sum(axis=1)
+        assert list(np.sign(s - s[0])) == [0, -1, -1, 0, 1, 1]
+        z = C[0].astype(np.float32) @ E[:6].astype(np.float32).T
+        assert np.all(z == z[0])
+        got = {}
+        for policy in ("optimistic", "pessimistic"):
+            got[policy] = tile_ranks(C, E, truth, fillers, policy)
+            assert got[policy] == filtered_ranks(C, E, truth, *zip(*fillers), policy)
+        assert got["optimistic"] != got["pessimistic"]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("c_scale", [1e-30, 1e30])
+    @pytest.mark.parametrize("e_scale", [1e-30, 1e30])
+    def test_extreme_magnitudes(self, e_scale, c_scale, dtype):
+        # scores of 1e-60 underflow in float32 and scores of 1e60 overflow
+        # it; the power-of-two scaling keeps both screenable, near ties too
+        C, E, truth, fillers = near_tie_case(np.float64)
+        rng = np.random.default_rng(16)
+        C = np.vstack([C, rng.normal(size=(20, 4))]) * c_scale
+        truth = np.concatenate([truth, rng.integers(len(E), size=20)])
+        E = (E * e_scale).astype(dtype)
+        for policy in ("optimistic", "pessimistic"):
+            assert tile_ranks(C, E, truth, fillers, policy) == filtered_ranks(
+                C, E, truth, *zip(*fillers), policy)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_screened_ranks_equal_brute_force(data):
+    # small integer entity rows, some nudged by 2**-30 (lost in float32),
+    # contexts of a few bits plus noise, zero rows, scales of 2**+-100 and
+    # tiles of every width: the float64 count decides every rank
+    R, n_e, used = (data.draw(st.integers(1, hi)) for hi in (12, 30, 9))
+    c_exp, e_exp = (data.draw(st.integers(-100, 100)) for _ in range(2))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    policy = data.draw(st.sampled_from(["optimistic", "pessimistic"]))
+    cache_bytes = data.draw(st.sampled_from([8, 96, 384, 2 << 20]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    E = rng.integers(-2, 3, size=(n_e, used)) + rng.choice([0.0, 2.0**-30, -(2.0**-30)],
+                                                           size=(n_e, used))
+    E = np.ldexp(E, e_exp).astype(dtype)
+    C = rng.integers(-3, 4, size=(R, used)) + rng.choice([0.0, 1.0], size=(R, 1)) * rng.normal(
+        scale=2.0**-40, size=(R, used))
+    C = np.ldexp(C * rng.choice([0.0, 1.0, 1.0], size=(R, 1)), c_exp)
+    truth = rng.integers(n_e, size=R)
+    fillers = {(int(r), int(e)) for r, e in zip(rng.integers(R, size=R), rng.integers(n_e, size=R))}
+    with mock.patch.object(model, "_CACHE_BLOCK_BYTES", cache_bytes):
+        got = tile_ranks(C, E, truth, sorted(fillers), policy)
+    assert got == filtered_ranks(C, E, truth, [r for r, _ in fillers], [e for _, e in fillers],
+                                 policy)
