@@ -90,9 +90,30 @@ def _exact_scores(C: np.ndarray, E: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return z
 
 
+def _entity_bound(E: np.ndarray) -> tuple[int, float]:
+    """(k_E, max_e |e|), the entity rows' part of _tile_ranks' bound.
+
+    2**k_E bounds the largest magnitude in E (k_E >= -126), and max_e |e|
+    is the largest Euclidean norm of a row of E as _tile_ranks sweeps it:
+    float32 rows as stored, float64 rows scaled by 2**-k_E. Both depend on
+    the embeddings alone, so rank_matrix takes them once per arity group;
+    the norms are summed in float64 over row blocks of at most
+    model._CACHE_BLOCK_BYTES, with no temporary of the vocabulary's size.
+    """
+    k_E = max(int(np.frexp(max(E.max(initial=0.0), -E.min(initial=0.0)))[1]), -126)
+    e_shift = 0 if E.dtype == np.float32 else -k_E
+    step = max(1, model._CACHE_BLOCK_BYTES // (8 * E.shape[1]))
+    e_norm2 = 0.0
+    for e0 in range(0, len(E), step):
+        S = np.ldexp(E[e0 : e0 + step], e_shift, dtype=np.float64)
+        e_norm2 = max(e_norm2, np.einsum("ij,ij->i", S, S).max())
+    return k_E, math.sqrt(e_norm2)
+
+
 def _tile_ranks(
     C: np.ndarray,
     E: np.ndarray,
+    bound: tuple[int, float],
     truth: np.ndarray,
     filler_rows: np.ndarray,
     filler_cols: np.ndarray,
@@ -111,9 +132,9 @@ def _tile_ranks(
     Every candidate is screened in float32. Each context row and float64
     E are first scaled by powers of two, which is exact and keeps every
     comparison, so that the float32 copies cannot overflow: E by 2**-k_E,
-    2**k_E bounding its largest magnitude (k_E >= -126), and row r so that
-    its largest magnitude is below 1, or below 2**-k_E when float32 rows
-    are swept as stored. In those units a float32 GEMM of the copies, Z,
+    and row r so that its largest magnitude is below 1, or below 2**-k_E
+    when float32 rows are swept as stored. bound is _entity_bound(E):
+    k_E and max_e |e|. In those units a float32 GEMM of the copies, Z,
     is within
 
         delta_r = kappa * |c_r| * max_e |e| + underflow_r,
@@ -138,10 +159,11 @@ def _tile_ranks(
     rank[r] = 1 + #{beats(Z, hi_r)} + #{band e: beats(s_re, t_r)}
     - #{filler or truth e: beats(s_re, t_r)}, the float64 count.
 
-    E's used rows are swept in slices of `width`, a view of float32 rows
-    or a float32 copy of float64 ones in one reused buffer, against row
-    tiles of the float32 contexts in one reused tile. Each buffer, and
-    each block of exact dots and of band pairs, holds at most
+    Row tiles of the contexts, scaled and cast to float32 one tile at a
+    time into one reused buffer, are swept against E's used rows in
+    slices of `width`, a view of float32 rows or a float32 copy of float64
+    ones in one reused buffer, each pair scored into one reused tile. Each
+    buffer, and each block of exact dots and of band pairs, holds at most
     model._CACHE_BLOCK_BYTES.
     """
     R, used = C.shape
@@ -160,25 +182,21 @@ def _tile_ranks(
     count = 1 - beats(t, t) - beating(filler_rows[other], filler_cols[other])
 
     stored = E.dtype == np.float32  # swept as stored; float64 rows are cast
-    k_E = max(int(np.frexp(max(E.max(initial=0.0), -E.min(initial=0.0)))[1]), -126)
+    k_E, e_norm = bound
     e_shift = 0 if stored else -k_E
     c_max = np.maximum(C.max(axis=1, initial=0.0), -C.min(axis=1, initial=0.0))
-    shift = -np.frexp(c_max)[1] - k_E  # row r's scores are screened times 2**shift[r]
-    # the row blocks scaled below and the slices swept later: width rows of
+    # row r's scores are screened times 2**shift[r]; its context row is
+    # scaled by 2**row_shift[r]
+    shift = -np.frexp(c_max)[1] - k_E
+    row_shift = (shift - e_shift)[:, None]
+    # the row tiles scaled below and the slices swept later: width rows of
     # float64 and width * width float32 scores each fit the budget
     width = max(1, min(n_e, math.isqrt(budget // 4), budget // (8 * used)))
-    C32 = np.empty((R, used), dtype=np.float32)
     c_norm = np.empty(R)
     for r0 in range(0, R, width):
-        Cs = np.ldexp(C[r0 : r0 + width], (shift[r0 : r0 + width] - e_shift)[:, None])
+        Cs = np.ldexp(C[r0 : r0 + width], row_shift[r0 : r0 + width])
         c_norm[r0 : r0 + width] = np.sqrt(np.einsum("ij,ij->i", Cs, Cs))
-        C32[r0 : r0 + width] = Cs
-    e_norm2 = 0.0
-    for e0 in range(0, n_e, width):
-        S = np.ldexp(E[e0 : e0 + width], e_shift, dtype=np.float64)
-        e_norm2 = max(e_norm2, np.einsum("ij,ij->i", S, S).max())
-    Cs = S = None  # the last blocks, freed before the sweep
-    e_norm = math.sqrt(e_norm2)
+    Cs = None  # the last tile, freed before the sweep
     u = np.finfo(np.float32).eps / 2
     eta = np.finfo(np.float32).smallest_subnormal / 2
     gamma = used * u / (1 - used * u)
@@ -193,6 +211,7 @@ def _tile_ranks(
     np.nextafter(hi, np.inf, out=hi, where=hi < upper)
     np.nextafter(lo, -np.inf, out=lo, where=lo > lower)
 
+    C32 = np.empty((min(width, R), used), dtype=np.float32)
     tile = np.empty(width * width, dtype=np.float32)
     sure_flags = np.empty(width * width, dtype=bool)
     cand_flags = np.empty(width * width, dtype=bool)
@@ -204,14 +223,16 @@ def _tile_ranks(
     band_rows = np.empty(cap, dtype=np.intp)
     band_cols = np.empty(cap, dtype=np.intp)
     fill = 0
-    for e0 in range(0, n_e, width):
-        S = E[e0 : e0 + width]
-        if not stored:
-            S = np.ldexp(S, e_shift, out=S32[: len(S)])
-        n_s = len(S)
-        for r0 in range(0, R, width):
-            n_r = min(width, R - r0)
-            Z = np.matmul(C32[r0 : r0 + n_r], S.T, out=tile[: n_r * n_s].reshape(n_r, n_s))
+    for r0 in range(0, R, width):
+        n_r = min(width, R - r0)
+        # the float64 row scaled, then rounded once to float32
+        c32 = np.ldexp(C[r0 : r0 + n_r], row_shift[r0 : r0 + n_r], out=C32[:n_r])
+        for e0 in range(0, n_e, width):
+            S = E[e0 : e0 + width]
+            if not stored:
+                S = np.ldexp(S, e_shift, out=S32[: len(S)])
+            n_s = len(S)
+            Z = np.matmul(c32, S.T, out=tile[: n_r * n_s].reshape(n_r, n_s))
             sure = beats(Z, hi[r0 : r0 + n_r, None], out=sure_flags[: n_r * n_s].reshape(n_r, n_s))
             cand = beats(Z, lo[r0 : r0 + n_r, None], out=cand_flags[: n_r * n_s].reshape(n_r, n_s))
             n_sure, n_cand = counts[:, :n_r]
@@ -292,6 +313,7 @@ def rank_matrix(
         assignments = [architectures[i][arity] for i in distinct]
         used = min(arity, embeddings.segment_count) * embeddings.segment_length
         E = embeddings.entity_matrix[:, :used]
+        bound = _entity_bound(E)
         step = max(1, model._CACHE_BLOCK_BYTES // (8 * arity * used))
         for start in range(0, len(index), step):
             rows, rel, ent = (a[start : start + step] for a in (index, rel_ids, ent_ids))
@@ -299,7 +321,7 @@ def rank_matrix(
             truth, fillers = ent.T.ravel(), filter_index.fillers(rel, ent)
             for i, assignment in zip(distinct, assignments):
                 C = context_batch(assignment.codes, X, range(1, arity + 1)).reshape(-1, used)
-                rank = _tile_ranks(C, E, truth, *fillers, beats)
+                rank = _tile_ranks(C, E, bound, truth, *fillers, beats)
                 ranks[i, rows, :arity] = rank.reshape(arity, len(ent)).T
     return ranks[first]
 

@@ -11,10 +11,10 @@ call over holes 1..n gives their contexts hole-major, reshaped to one
 gradient sweeps the candidates over row blocks of it, one matmul per
 block into one reused buffer of about _SCORE_BLOCK scores, and each block
 adds its hole gradient in entity slices through one reused buffer of at
-most _CACHE_BLOCK_BYTES, so its memory does not grow with the batch and
-holds no array of the vocabulary's size beyond the gradient and the
-score buffer. Filtered ranking (evaluation.rank_matrix) pairs the same
-contexts with the entity rows in float32 tiles of at most
+most a quarter of _CACHE_BLOCK_BYTES, so its memory does not grow with
+the batch and holds no array of the vocabulary's size beyond the
+gradient and the score buffer. Filtered ranking (evaluation.rank_matrix)
+pairs the same contexts with the entity rows in float32 tiles of at most
 _CACHE_BLOCK_BYTES, screened by an error bound, and settles the few
 candidates near each truth with float64 dots; it holds no array of the
 vocabulary's size.
@@ -47,14 +47,15 @@ from .errors import DataError
 # with the batch.
 _SCORE_BLOCK = 1 << 21
 
-# Upper bound, in bytes, on one row block of the in-place softmax, on one
-# entity slice of the hole gradient, and on each of filtered ranking's
-# buffers (evaluation.rank_matrix): its chunk contexts (and their float32
-# copy, half as large), the float32 copy of a slice of float64 entity rows,
-# the float32 score tile and each block of exact float64 dots and of band
-# pairs. The softmax block's max, exp, sum and divide passes, the slice's
-# add into the gradient and each ranking tile's matmul, compares and
-# counts run in cache.
+# Upper bound, in bytes, on one row block of the in-place softmax and on
+# each of filtered ranking's buffers (evaluation.rank_matrix): its chunk
+# contexts, the float32 copy of one row tile of them, the float32 copy of
+# a slice of float64 entity rows, the float32 score tile and each block of
+# band pairs. A quarter of it bounds one entity slice of the hole gradient
+# (1024 rows at 128 float32 columns) and each block of ranking's exact
+# float64 dots. The softmax block's max, exp, sum and divide passes, the
+# slice's add into the gradient and each ranking tile's matmul, compares
+# and counts run in cache.
 _CACHE_BLOCK_BYTES = 2 << 20
 
 
@@ -89,12 +90,13 @@ def _grad_arity_group(
     onehot(truth), the loss gradient with respect to the block's candidate
     scores. Each block adds its hole gradient G_b.T @ C_b in entity
     slices, each slice's product written into one reused buffer of at most
-    _CACHE_BLOCK_BYTES, and writes its rows of the softmax-weighted
-    candidate mixture G_b @ E. The remaining participants of each query
-    get their gradient from contexts in which the hole holds that mixture
-    (multilinearity): one context_batch call per hole, whose relation and
-    entity rows are scattered into `grads` (shaped like embeddings.matrix)
-    by one call.
+    a quarter of _CACHE_BLOCK_BYTES (slicing by entity rows reorders no
+    sum, so the slice size does not change the gradient), and writes its
+    rows of the softmax-weighted candidate mixture G_b @ E. The remaining
+    participants of each query get their gradient from contexts in which
+    the hole holds that mixture (multilinearity): one context_batch call
+    per hole, whose relation and entity rows are scattered into `grads`
+    (shaped like embeddings.matrix) by one call.
     """
     B, n = entity_ids.shape
     X = pack_participants(embeddings, relation_ids, entity_ids)
@@ -112,7 +114,7 @@ def _grad_arity_group(
     # (n_e, used) hole gradient is not added into for a few rows
     rows = min(n * B, max(used, _SCORE_BLOCK // n_e))
     buffer = np.empty((rows, n_e), dtype=C.dtype)
-    width = min(n_e, max(1, _CACHE_BLOCK_BYTES // (used * C.itemsize)))
+    width = min(n_e, max(1, _CACHE_BLOCK_BYTES // (4 * used * C.itemsize)))
     partial = np.empty((width, used), dtype=C.dtype)
     for b0 in range(0, n * B, rows):
         block = slice(b0, b0 + rows)

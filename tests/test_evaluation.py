@@ -24,6 +24,7 @@ from narytd.data import (
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError
 from narytd.evaluation import (
+    _entity_bound,
     _tile_ranks,
     aggregate,
     evaluate,
@@ -39,8 +40,8 @@ def tile_ranks(C, E, truth, fillers=(), tie_policy="optimistic"):
     """_tile_ranks of the contexts C against the entity rows E, fillers as (row, col) pairs."""
     rows, cols = np.array(list(fillers), dtype=np.int64).reshape(-1, 2).T
     beats = np.greater_equal if tie_policy == "pessimistic" else np.greater
-    return _tile_ranks(np.asarray(C, dtype=np.float64), E, np.asarray(truth), rows, cols,
-                       beats).tolist()
+    return _tile_ranks(np.asarray(C, dtype=np.float64), E, _entity_bound(E), np.asarray(truth),
+                       rows, cols, beats).tolist()
 
 
 def block_ranks(Z, truth, known, tie_policy="optimistic"):

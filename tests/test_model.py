@@ -425,8 +425,9 @@ class TestStackedGradient:
         # arities 2-4 give m = min(n, M): 1 for M=1, 2 for M=2, and with
         # M=3 an arity-2 group whose used columns stop short of d; the
         # softmax runs in row blocks of 1, 5 and all rows, and the hole
-        # gradient in slices of 1 entity, of 7 entities with a short last
-        # slice (360 // (8 * 6) at 6 used columns; one slice at fewer) and
+        # gradient, whose slices take a quarter of the budget, in slices of
+        # 1 entity, of 2 entities with a short last slice (90 // (8 * 4) at
+        # M=3's 4 used columns of arity 2; 1 at 6 columns, all 9 at 1) and
         # of all 9. Groups of 8, 12 and 16 rows are swept in blocks of m*ds
         # rows (1 row at d=1, otherwise 4 or 6, with short last blocks), of
         # 7 rows (63 // 9 candidates, above that floor at d=6) and whole
@@ -498,12 +499,9 @@ class TestStackedGradient:
         assert peaks[1] < 1.3 * peaks[0]
         assert max(peaks) < 4 << 20
 
-    def test_peak_memory_holds_no_whole_hole_gradient_partial(self):
-        # a 20k-benchmark-like step (d=128, M=2, arity 3): the gradient and
-        # the 128-row score buffer are 10 MB each, and the hole gradient
-        # goes through one 2 MB slice buffer; a whole (n_e, m*ds) partial
-        # would add another 10 MB
-        rng = np.random.default_rng(26)
+    @staticmethod
+    def step_20k(rng):
+        """A 20k-benchmark-like step (d=128, M=2, arity 3, B=256): embeddings, facts, set."""
         n_e, n_r, B = 20000, 10, 256
         emb = SegmentedEmbeddings(
             rng.normal(scale=0.5, size=(n_e, 128)).astype(np.float32),
@@ -512,16 +510,36 @@ class TestStackedGradient:
         )
         facts = [Fact(int(r), tuple(int(x) for x in e))
                  for r, e in zip(rng.integers(n_r, size=B), rng.integers(n_e, size=(B, 3)))]
-        arch = preset_set("cp", 3, 2)
+        return emb, facts, preset_set("cp", 3, 2)
+
+    def test_peak_memory_holds_no_whole_hole_gradient_partial(self):
+        # the gradient and the 128-row score buffer are 10 MB each, and the
+        # hole gradient goes through one 512 KB slice buffer (1024 rows); a
+        # whole-budget 2 MB buffer would exceed the bound, and a whole
+        # (n_e, m*ds) partial would add another 10 MB
+        emb, facts, arch = self.step_20k(np.random.default_rng(26))
         tracemalloc.start()
         try:
             grads, _ = grad_embeddings_mc([arch], emb, facts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = max(128, model._SCORE_BLOCK // n_e)
-        score_buffer = rows * n_e * grads.itemsize
-        assert peak < grads.nbytes + score_buffer + 2 * model._CACHE_BLOCK_BYTES + (2 << 20)
+        rows = max(128, model._SCORE_BLOCK // emb.entity_count)
+        score_buffer = rows * emb.entity_count * grads.itemsize
+        assert peak < grads.nbytes + score_buffer + model._CACHE_BLOCK_BYTES // 4 + (2 << 20)
+
+    def test_float32_hole_gradient_slices_bitwise(self, monkeypatch):
+        # slicing the hole gradient by entity rows reorders no sum, so the
+        # 20k-like step's float32 gradient and loss are bit-identical with
+        # slices of 1024 rows and of 4096 (a 4x budget), both with a short
+        # last slice of 20000 rows
+        emb, facts, arch = self.step_20k(np.random.default_rng(27))
+        grads, loss = grad_embeddings_mc([arch], emb, facts)
+        monkeypatch.setattr(model, "_CACHE_BLOCK_BYTES", 4 * model._CACHE_BLOCK_BYTES)
+        wide, wide_loss = grad_embeddings_mc([arch], emb, facts)
+        assert grads.dtype == np.float32
+        assert np.array_equal(grads, wide)
+        assert loss == wide_loss
 
 
 class TestAdam:
