@@ -1,4 +1,4 @@
-"""Block-sparse core tensors: assignments, presets, scoring, file i/o.
+"""Block-sparse core tensors: assignments, presets, packing, file i/o.
 
 For arity n and segment count M, the score couples the participants'
 first m = min(n, M) segments through K = m**(n+1) diagonal blocks, each
@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import kernels
 from .data import int_fields, load_json_object, write_json
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError
@@ -176,10 +175,7 @@ def preset_set(name: str, max_arity: int, segment_count: int) -> ArchitectureSet
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-# Upper bound on one block of packed participants in score_batch, in bytes.
-_PACK_BYTES = 1 << 20
+# packing
 
 
 def pack_participants(
@@ -215,47 +211,6 @@ def pack_participants(
     for q in range(n):
         X[:, q + 1] = embeddings.entity_matrix[entity_ids[:, q], :used].reshape(B, m, ds)
     return X
-
-
-def score_block_rows(assignment: CoreAssignment, embeddings: SegmentedEmbeddings) -> int:
-    """Rows of one score_batch block: as many whole kernel chunks as fit in
-    _PACK_BYTES of packed participants, and at least one."""
-    P, m, ds = assignment.arity + 1, assignment.m, embeddings.segment_length
-    itemsize = embeddings.matrix.itemsize
-    _, b_step = kernels.chunk_steps(itemsize, P, m, ds)
-    return b_step * max(1, _PACK_BYTES // (itemsize * P * m * ds * b_step))
-
-
-def score_batch(
-    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, relation_ids, entity_ids
-) -> np.ndarray:
-    """Scores for a batch of same-arity facts given as id arrays, in the embeddings' dtype.
-
-    The rows are packed and scored in blocks of score_block_rows rows, so
-    memory does not grow with the batch. Each block's row count is a
-    multiple of the kernel's chunk rows, so every matmul, and every score,
-    is the one a single kernels.score_batch call over the whole batch
-    would make; so is a call on any slice of the batch that starts at a
-    block boundary.
-    """
-    relation_ids = np.asarray(relation_ids)
-    entity_ids = np.asarray(entity_ids)
-    if entity_ids.ndim != 2 or entity_ids.shape[1] != assignment.arity:
-        raise DataError(
-            f"arity-{assignment.arity} assignment needs entity ids of shape"
-            f" (rows, {assignment.arity}), got {entity_ids.shape}"
-        )
-    if len(relation_ids) != len(entity_ids):
-        raise DataError(f"{len(relation_ids)} relation ids for {len(entity_ids)} entity rows")
-    if embeddings.segment_count != assignment.segment_count:
-        raise DataError("embedding and assignment segment counts differ")
-    rows = score_block_rows(assignment, embeddings)
-    scores = np.empty(len(entity_ids), dtype=embeddings.matrix.dtype)
-    for b0 in range(0, len(scores), rows):
-        block = slice(b0, b0 + rows)
-        X = pack_participants(embeddings, relation_ids[block], entity_ids[block])
-        scores[block] = kernels.score_batch(assignment.codes, X)
-    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import DataError, NumericError, ParseError
 RawFact = tuple[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """One n-ary fact: a relation id plus an ordered tuple of entity ids."""
 

@@ -16,15 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ArchitectureSet, CoreAssignment, block_count, score_batch, score_block_rows
+from . import kernels
+from .blocks import ArchitectureSet, CoreAssignment, block_count, pack_participants
 from .data import Dataset, Fact, Vocabulary, check_seed
 from .embeddings import SegmentedEmbeddings
 from .errors import DataError, GenerationError
 
 # Candidate draws per RNG call. Another value changes the random stream and
-# so every generated dataset. A chunk is scored in blocks.score_batch's
-# blocks only until the quota is met; where it stops changes no draw.
+# so every generated dataset. A chunk is scored in _block_rows blocks only
+# until the quota is met; where it stops changes no draw.
 _CHUNK = 8192
+
+# Upper bound on one block of packed participants, in bytes.
+_PACK_BYTES = 1 << 20
 
 
 @dataclass
@@ -55,11 +59,22 @@ class PlantedSpec:
         arities = self.arities
         if not arities or min(arities) < 2 or len(set(arities)) < len(arities):
             raise DataError(f"arities must be a non-empty set of distinct values >= 2, got {arities}")
+        if self.facts_per_arity < 1:
+            raise DataError("facts_per_arity must be >= 1")
         for n in self.arities:
             if n not in self.assignments:
                 raise DataError(f"ground truth has no assignment for arity {n}")
-        if self.facts_per_arity < 1:
-            raise DataError("facts_per_arity must be >= 1")
+            if self.facts_per_arity > (tuples := self.relation_count * self.entity_count**n):
+                raise DataError(
+                    f"facts_per_arity {self.facts_per_arity} exceeds the {tuples} distinct"
+                    f" arity-{n} facts of {self.relation_count} relations and"
+                    f" {self.entity_count} entities"
+                )
+        if self.assignments.segment_count != self.segment_count:
+            raise DataError(
+                f"ground truth has {self.assignments.segment_count} segments,"
+                f" not {self.segment_count}"
+            )
         if self.max_draws < 1:
             raise DataError(f"max_draws must be >= 1, got {self.max_draws}")
         if not np.isfinite(self.margin):
@@ -79,9 +94,9 @@ class PlantedResult:
 def generate_planted(spec: PlantedSpec) -> PlantedResult:
     """Sample facts whose ground-truth score clears the margin.
 
-    Tuples are drawn uniformly, _CHUNK at a time. Each chunk is scored in
-    blocks of blocks.score_block_rows rows, whose scores equal those of
-    one blocks.score_batch call over the chunk, and each block's positives
+    Tuples are drawn uniformly, _CHUNK at a time. Each chunk is packed and
+    scored in blocks of _block_rows rows, whose scores equal those of one
+    kernels.score_batch call over the chunk, and each block's positives
     are deduplicated in draw order; scoring stops once the arity has
     facts_per_arity of them, and the rest of the chunk, whose positives
     would go unused, is dropped unscored. Generation fails with a
@@ -119,13 +134,22 @@ def generate_planted(spec: PlantedSpec) -> PlantedResult:
     return PlantedResult(dataset, spec.assignments.copy(), embeddings)
 
 
+def _block_rows(assignment: CoreAssignment, embeddings: SegmentedEmbeddings) -> int:
+    """Rows of one scoring block: as many whole kernel chunks as fit in
+    _PACK_BYTES of packed participants, and at least one. A chunk cut
+    only at block boundaries runs the kernel's matmuls unchanged."""
+    P, m, ds = assignment.arity + 1, assignment.m, embeddings.segment_length
+    itemsize = embeddings.matrix.itemsize
+    _, b_step = kernels.chunk_steps(itemsize, P, m, ds)
+    return b_step * max(1, _PACK_BYTES // (itemsize * P * m * ds * b_step))
+
+
 def _collect_positives(
     spec: PlantedSpec, embeddings: SegmentedEmbeddings, arity: int, rng: np.random.Generator
 ) -> list[Fact]:
     assignment = spec.assignments[arity]
-    rows = score_block_rows(assignment, embeddings)
-    seen: set[tuple] = set()
-    positives: list[Fact] = []
+    rows = _block_rows(assignment, embeddings)
+    positives: dict[Fact, None] = {}  # distinct, in first-draw order
     draws = 0
     while len(positives) < spec.facts_per_arity:
         if draws >= spec.max_draws:
@@ -140,16 +164,13 @@ def _collect_positives(
         draws += chunk
         for b0 in range(0, chunk, rows):
             block = slice(b0, b0 + rows)
-            scores = score_batch(assignment, embeddings, rel_ids[block], ent_ids[block])
-            hits = np.flatnonzero(scores >= spec.margin) + b0
-            for key in map(tuple, np.column_stack((rel_ids[hits], ent_ids[hits])).tolist()):
-                if key in seen:
-                    continue
-                seen.add(key)
-                positives.append(Fact(key[0], key[1:]))
+            X = pack_participants(embeddings, rel_ids[block], ent_ids[block])
+            hits = np.flatnonzero(kernels.score_batch(assignment.codes, X) >= spec.margin) + b0
+            for relation, entities in zip(rel_ids[hits].tolist(), ent_ids[hits].tolist()):
+                positives[Fact(relation, tuple(entities))] = None
                 if len(positives) == spec.facts_per_arity:
-                    return positives
-    return positives
+                    return list(positives)
+    return list(positives)
 
 
 def check_nonzero_fraction(fraction: float) -> None:

@@ -1,14 +1,15 @@
 """Reference constructions the tests check the library against.
 
-score_fact scores one fact through the batch path; candidate_scores
-scores every entity at every hole of a packed batch as one whole matrix;
+score_rows scores same-arity id arrays in one kernel call, and
+score_fact one fact through it; candidate_scores scores every entity at
+every hole of a packed batch as one whole matrix;
 filtered_ranks counts every candidate of every query against its
 truth, one float64 row dot per score;
 memorization_model builds embeddings that reproduce a fact set exactly;
 eager_positives is planted generation's collection of positives with
-every candidate draw scored. The library itself scores batches, ranks
-candidates in screened float32 tiles, stops scoring a generator's draws at the quota and
-never needs an exact memorization.
+every candidate draw scored. The library itself scores a generator's
+draws in bounded blocks and stops at the quota, ranks candidates in
+screened float32 tiles and never needs an exact memorization.
 """
 
 from __future__ import annotations
@@ -18,11 +19,20 @@ from typing import Sequence
 import numpy as np
 
 from narytd import kernels
-from narytd.blocks import ArchitectureSet, CoreAssignment, preset_set, score_batch
+from narytd.blocks import ArchitectureSet, CoreAssignment, pack_participants, preset_set
 from narytd.data import Fact, Vocabulary, fact_groups
 from narytd.embeddings import SegmentedEmbeddings
 from narytd.errors import DataError, GenerationError
 from narytd.synth import _CHUNK, PlantedSpec
+
+
+def score_rows(
+    assignment: CoreAssignment, embeddings: SegmentedEmbeddings, relation_ids, entity_ids
+) -> np.ndarray:
+    """Scores of same-arity facts given as id arrays, packed whole and
+    scored in one kernel call, in the embeddings' dtype."""
+    X = pack_participants(embeddings, relation_ids, entity_ids)
+    return kernels.score_batch(assignment.codes, X)
 
 
 def score_fact(
@@ -30,7 +40,7 @@ def score_fact(
 ) -> float:
     """Multilinear block-sparse score of one fact."""
     [(_, _, relation_ids, entity_ids)] = fact_groups([fact])
-    return float(score_batch(assignment, embeddings, relation_ids, entity_ids)[0])
+    return float(score_rows(assignment, embeddings, relation_ids, entity_ids)[0])
 
 
 def candidate_scores(
@@ -126,7 +136,7 @@ def eager_positives(
         chunk = min(_CHUNK, spec.max_draws - draws)
         rel_ids = rng.integers(0, spec.relation_count, size=chunk)
         ent_ids = rng.integers(0, spec.entity_count, size=(chunk, arity))
-        scores = score_batch(assignment, embeddings, rel_ids, ent_ids)
+        scores = score_rows(assignment, embeddings, rel_ids, ent_ids)
         for i in np.nonzero(scores >= spec.margin)[0]:
             key = (int(rel_ids[i]),) + tuple(int(e) for e in ent_ids[i])
             if key in seen:

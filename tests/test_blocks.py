@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from narytd import blocks, kernels
+from narytd import kernels, synth
 from narytd.blocks import (
     ArchitectureSet,
     CoreAssignment,
@@ -14,14 +14,14 @@ from narytd.blocks import (
     preset,
     preset_set,
     save_architecture,
-    score_batch,
     zero_assignment,
 )
 from narytd.data import Fact, Vocabulary, build_dataset
 from narytd.embeddings import SegmentedEmbeddings
-from narytd.errors import DataError
+from narytd.errors import DataError, GenerationError
+from narytd.synth import _CHUNK, PlantedSpec, generate_planted, random_truth
 
-from oracles import memorization_model, score_fact
+from oracles import memorization_model, score_fact, score_rows
 
 
 def toy_embeddings():
@@ -60,11 +60,6 @@ class TestScoreFact:
         emb = toy_embeddings()
         assert score_fact(zero_assignment(2, 2), emb, Fact(0, (0, 1))) == 0.0
 
-    def test_arity_mismatch(self):
-        emb = toy_embeddings()
-        with pytest.raises(DataError):
-            score_fact(preset("cp", 3, 2), emb, Fact(0, (0, 1)))
-
     def test_linear_in_each_participant(self):
         rng = np.random.default_rng(0)
         emb = SegmentedEmbeddings(rng.normal(size=(4, 8)), rng.normal(size=(2, 8)), 2)
@@ -91,6 +86,9 @@ def random_scoring_case(arity, segments, dimension, dtype, rows, seed=0):
 
 
 class TestBoundedScoreBatch:
+    """Planted generation packs and scores its draws in blocks of
+    synth._block_rows rows."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("segments", [1, 2, 3, 4])
     @pytest.mark.parametrize("arity", [2, 3, 4, 5])
@@ -101,56 +99,44 @@ class TestBoundedScoreBatch:
         # 400 rows in blocks of at most pack_bytes, at the kernel's own chunk
         # sizes (where a block cut between chunk boundaries changes the last
         # bits of some scores) and at small ones (many blocks for every
-        # shape); each block but the last is whole kernel chunks, and the
-        # scores equal one kernel call over all rows bit for bit
+        # shape); each block is whole kernel chunks, and the blocks' scores
+        # equal one kernel call over all rows bit for bit
         if chunk_bytes:
             monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(blocks, "_PACK_BYTES", pack_bytes)
-        sizes = []
-        pack = blocks.pack_participants
-        monkeypatch.setattr(
-            blocks, "pack_participants", lambda e, r, ids: sizes.append(len(ids)) or pack(e, r, ids)
-        )
+        monkeypatch.setattr(synth, "_PACK_BYTES", pack_bytes)
         for dimension in (12, 24, 48):
             assignment, emb, rel, ent = random_scoring_case(arity, segments, dimension, dtype, 400)
-            sizes.clear()
-            got = score_batch(assignment, emb, rel, ent)
-            m, itemsize = min(arity, segments), np.dtype(dtype).itemsize
-            _, b_step = kernels.chunk_steps(itemsize, arity + 1, m, dimension // segments)
-            assert sum(sizes) == 400
-            assert all(size % b_step == 0 for size in sizes[:-1])
+            rows = synth._block_rows(assignment, emb)
+            m, ds, itemsize = min(arity, segments), dimension // segments, np.dtype(dtype).itemsize
+            _, b_step = kernels.chunk_steps(itemsize, arity + 1, m, ds)
+            assert rows % b_step == 0
+            assert rows == b_step or rows * itemsize * (arity + 1) * m * ds <= pack_bytes
             if chunk_bytes:
-                assert len(sizes) >= 3
-            want = kernels.score_batch(assignment.codes, pack(emb, rel, ent))
+                assert rows * 2 < 400
+            got = np.concatenate(
+                [score_rows(assignment, emb, rel[b0 : b0 + rows], ent[b0 : b0 + rows])
+                 for b0 in range(0, 400, rows)]
+            )
+            want = score_rows(assignment, emb, rel, ent)
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
     def test_traced_peak_is_bounded(self):
-        # 8192 arity-3 rows at d=128 pack to 34 MB of float64 in one piece
-        assignment, emb, rel, ent = random_scoring_case(3, 2, 128, np.float64, 8192)
+        # one chunk of 8192 arity-3 draws at d=128 packs to 34 MB of float64
+        # in one piece; no draw reaches the margin, so all of it is scored
+        spec = PlantedSpec(
+            entity_count=40, relation_count=5, arities=(3,), dimension=128, segment_count=2,
+            assignments=random_truth((3,), 2, seed=0), facts_per_arity=1, margin=1e9,
+            sigma=1.0, max_draws=_CHUNK,
+        )
         tracemalloc.start()
         try:
-            score_batch(assignment, emb, rel, ent)
+            with pytest.raises(GenerationError, match=f"drew {_CHUNK} arity-3"):
+                generate_planted(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_zero_rows(self, dtype):
-        assignment, emb, _, _ = random_scoring_case(3, 2, 8, dtype, 0)
-        scores = score_batch(assignment, emb, np.empty(0, np.int64), np.empty((0, 3), np.int64))
-        assert scores.shape == (0,) and scores.dtype == dtype
-
-    @pytest.mark.parametrize("relations", [2, 6])  # 6 = 2 * 3: divides the row count evenly
-    def test_id_arrays_of_different_lengths(self, relations):
-        assignment, emb, _, ent = random_scoring_case(2, 2, 8, np.float64, 3)
-        with pytest.raises(DataError, match="relation ids"):
-            score_batch(assignment, emb, np.zeros(relations, np.int64), ent)
-
-    def test_one_dimensional_entity_ids(self):
-        with pytest.raises(DataError, match=r"shape \(rows, 2\), got \(2,\)"):
-            score_batch(preset("cp", 2, 2), toy_embeddings(), np.array([0]), np.array([0, 1]))
 
 
 class TestPresets:

@@ -182,7 +182,9 @@ class TestSynth:
          ("nonzero-fraction", -1, "nonzero fraction"),
          ("max-draws", 0, "max_draws"), ("max-draws", -5, "max_draws"),
          ("margin", "nan", "margin"), ("margin", "inf", "margin"), ("sigma", -1, "sigma"),
-         ("sigma", 0, "sigma"), ("sigma", "nan", "sigma")],
+         ("sigma", 0, "sigma"), ("sigma", "nan", "sigma"),
+         # 2 relations and 25 entities make 1250 distinct arity-2 facts
+         ("facts-per-arity", 1251, "exceeds the 1250 distinct arity-2 facts")],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, flag, value, word):
         # each used to end in a traceback, except -1, which planted one block
@@ -190,6 +192,23 @@ class TestSynth:
         assert run(*synth_args(out, **{flag: value})) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+        assert not out.exists()
+
+    def test_truth_file_of_another_segment_count_exits_3_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert run(*synth_args(tmp_path / "first")) == 0
+        truth = tmp_path / "first" / "truth.json"
+
+        def generate(spec):
+            raise AssertionError("drew candidates for a truth that cannot be planted")
+
+        monkeypatch.setattr(cli, "generate_planted", generate)
+        out = tmp_path / "x"
+        assert run(*synth_args(out, segments=4, **{"truth-arch": truth})) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ground truth has 2 segments, not 4" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", 2, -1])

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -336,6 +337,19 @@ def test_dataset_splits_are_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         ds.train = [Fact(0, (0, 1, 2))]
     assert ds.arities() == [2] and ds.max_arity == 2
+
+
+def test_fact_is_slotted_frozen_hashable_and_picklable():
+    # a dataset holds one Fact per fact, so a per-instance dict would cost
+    # every one of them; slots must not lose equality, hashing or pickling
+    fact = Fact(2, (0, 5, 1))
+    assert not hasattr(fact, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fact.relation = 3
+    assert fact == Fact(2, (0, 5, 1)) and hash(fact) == hash(Fact(2, (0, 5, 1)))
+    assert len({fact, Fact(2, (0, 5, 1)), Fact(2, (0, 1, 5))}) == 2
+    back = pickle.loads(pickle.dumps(fact))
+    assert back == fact and hash(back) == hash(fact) and back.arity == 3
 
 
 def test_dataset_errors_in_order():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from narytd import synth
-from narytd.blocks import ArchitectureSet, score_batch, score_block_rows, zero_assignment
+from narytd.blocks import ArchitectureSet, load_architecture, save_architecture, zero_assignment
 from narytd.data import group_by_arity
 from narytd.errors import DataError, GenerationError
 from narytd.synth import _CHUNK, PlantedSpec, generate_planted, random_truth
-from oracles import eager_positives
+from oracles import eager_positives, score_rows
 
 
 def base_spec(**overrides):
@@ -89,16 +89,17 @@ def test_generation_stops_scoring_at_quota(monkeypatch):
     _, consumed = eager_planted(spec, monkeypatch)
     assert all(_CHUNK < consumed[n] < 2 * _CHUNK for n in spec.arities)
     scored = []
+    pack = synth.pack_participants
 
-    def counting(assignment, embeddings, relation_ids, entity_ids):
+    def counting(embeddings, relation_ids, entity_ids):
         scored.append(len(relation_ids))
-        return score_batch(assignment, embeddings, relation_ids, entity_ids)
+        return pack(embeddings, relation_ids, entity_ids)
 
-    monkeypatch.setattr(synth, "score_batch", counting)
+    monkeypatch.setattr(synth, "pack_participants", counting)
     result = generate_planted(spec)
     # the rows up to each quota, plus at most the rest of the block that met it
     bound = sum(
-        consumed[n] + score_block_rows(spec.assignments[n], result.embeddings)
+        consumed[n] + synth._block_rows(spec.assignments[n], result.embeddings)
         for n in spec.arities
     )
     assert sum(scored) <= bound
@@ -136,7 +137,7 @@ def test_positives_rescore_above_margin():
         for arity, facts in group_by_arity(split).items():
             rel = np.array([f.relation for f in facts])
             ents = np.array([f.entities for f in facts])
-            scores = score_batch(truth[arity], result.embeddings, rel, ents)
+            scores = score_rows(truth[arity], result.embeddings, rel, ents)
             assert np.all(scores >= base_spec().margin)
 
 
@@ -178,6 +179,35 @@ def test_spec_validation():
         base_spec(seed=-1)
     with pytest.raises(DataError, match="seed"):
         random_truth((2,), 2, seed=-1)
+
+
+def test_spec_rejects_a_truth_of_another_segment_count(tmp_path):
+    # a --truth-arch file read back as it would be, planted at another
+    # --segments: rejected before the planted matrix is drawn
+    save_architecture(tmp_path / "truth.json", random_truth((2, 3), 2, seed=0))
+    truth = load_architecture(tmp_path / "truth.json")
+    with pytest.raises(DataError, match="ground truth has 2 segments, not 4"):
+        base_spec(assignments=truth, arities=(2, 3), segment_count=4)
+
+
+@pytest.mark.parametrize(
+    "overrides, tuples",
+    [
+        (dict(entity_count=2, relation_count=1, facts_per_arity=5), 4),
+        (dict(entity_count=3, relation_count=2, arities=(3, 2), facts_per_arity=19), 18),
+    ],
+    ids=["arity-2", "arities-3-2"],
+)
+def test_spec_rejects_a_quota_above_the_distinct_facts(overrides, tuples):
+    # an arity has relations * entities**n distinct facts; asking for more
+    # could only exhaust max_draws, so the spec fails before any draw
+    kwargs = dict(assignments=random_truth((2, 3), 2, seed=0), margin=-100.0)
+    kwargs.update(overrides)
+    with pytest.raises(DataError, match=f"exceeds the {tuples} distinct arity-2 facts"):
+        base_spec(**kwargs)
+    kwargs["facts_per_arity"] = tuples
+    result = generate_planted(base_spec(**kwargs))
+    assert len(list(result.dataset.all_facts())) == tuples * len(kwargs.get("arities", (2,)))
 
 
 def test_spec_rejects_repeated_arities():
